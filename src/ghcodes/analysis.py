@@ -2,9 +2,12 @@
 
 Small codes (|C| <= quad cap) get the full quadratic treatment: exact
 minimum distance, exhaustive balanced-difference checks, definitional
-kernel, rank by elimination.  Larger codes get exact cardinality and
-linearity certificates plus sampled pair checks, so the grid sweep stays
-desk-scale.
+kernel, rank by elimination.  One exact pair scan per code serves both
+the GH property and the minimum distance: p = 2 XORs bit-packed rows,
+p > 2 counts each difference symbol as tiled one-hot float32 products on
+narrow rows and with packed per-symbol masks on wide ones.  Larger codes
+get exact cardinality and linearity certificates plus sampled pair
+checks, so the grid sweep stays desk-scale.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .enumeration import (
     AdditiveCode,
     PAryCode,
     additive_span_order,
+    fold_dtype,
     gray_image,
     order_p_subcode,
     packed_view,
@@ -63,6 +67,24 @@ def _symbol_masks_u64(words: np.ndarray, p: int) -> list[np.ndarray]:
     return [_pack_bits_u64((words == a).astype(np.uint8)) for a in range(p)]
 
 
+# Bytes of one float32 one-hot right operand in the p > 2 product kernel;
+# the left operand, which holds each symbol twice, stays under twice this.
+# The kernel holds one left and one right operand and one tile of counts
+# at a time, so it never builds the one-hot of a whole code.
+_ONEHOT_TILE_BYTES = 1 << 20
+
+# Row width from which p > 2 scans use packed per-symbol masks instead of
+# the one-hot products.  A product does about p^2*n flops per pair where
+# the masks do p^2*n/64 lane operations plus p^2 numpy calls per row, and
+# the product's tiles get fewer rows as n*p grows.  Masks time over
+# product time, on a 2-core x86-64 machine: 2.6 at p = 3, n = 729 (a
+# whole 2187-word code); 0.66 at p = 11, n = 1331 and 0.31 at p = 7,
+# n = 2401 (449-row sampled-path scans).  Exhaustive-path rows have
+# n <= 729 under the 4096 quad cap; sampled-path rows with p <= 13 have
+# n >= 1331.
+_MASK_MIN_WIDTH = 1024
+
+
 @dataclass
 class PairScanResult:
     min_distance: Optional[int]  # None when there are no distinct pairs
@@ -76,47 +98,114 @@ def pair_scan(words: np.ndarray, p: int, n: int) -> PairScanResult:
 
     For each pair, classifies the difference as balanced (every symbol
     n/p times), constant, or neither, and tracks the minimum Hamming
-    distance.  Rows must be distinct.
+    distance.  Rows must be distinct.  The witness is the first offending
+    pair (i, j), i < j, in row-major order.
+
+    p = 2 XORs bit-packed rows.  p > 2 counts, for every pair and every
+    d, the columns where the difference equals d: as one-hot float32
+    products for rows narrower than _MASK_MIN_WIDTH, else with packed
+    per-symbol masks.
     """
     m = words.shape[0]
-    pairs = m * (m - 1) // 2
     if m < 2:
         return PairScanResult(None, True, None, 0)
-    min_d = n + 1
-    witness = None
-    ok = True
-    lam = n // p
     if p == 2:
-        pk = _pack_bits_u64(words)
-        for i in range(m - 1):
-            x = pk[i + 1 :] ^ pk[i]
-            w = np.bitwise_count(x).sum(axis=1, dtype=np.int64)
-            min_d = min(min_d, int(w.min()))
-            bad = (w != lam) & (w != n)
-            if ok and bad.any():
-                ok = False
-                witness = (i, i + 1 + int(np.argmax(bad)))
+        scan = _scan_gf2
+    elif n < _MASK_MIN_WIDTH:
+        scan = _scan_onehot
     else:
-        masks = _symbol_masks_u64(words, p)
-        for i in range(m - 1):
-            rest = slice(i + 1, m)
-            dist = np.zeros(m - i - 1, dtype=np.int64)
-            balanced = np.ones(m - i - 1, dtype=bool)
-            constant = np.zeros(m - i - 1, dtype=bool)
+        scan = _scan_masks
+    min_d, witness = scan(words, p, n)
+    return PairScanResult(min_d, witness is None, witness, m * (m - 1) // 2)
+
+
+def _scan_gf2(words: np.ndarray, p: int, n: int):
+    lam = n // 2
+    min_d, witness = n + 1, None
+    pk = _pack_bits_u64(words)
+    for i in range(words.shape[0] - 1):
+        w = np.bitwise_count(pk[i + 1 :] ^ pk[i]).sum(axis=1, dtype=np.int64)
+        min_d = min(min_d, int(w.min()))
+        bad = (w != lam) & (w != n)
+        if witness is None and bad.any():
+            witness = (i, i + 1 + int(np.argmax(bad)))
+    return min_d, witness
+
+
+def _scan_masks(words: np.ndarray, p: int, n: int):
+    m = words.shape[0]
+    lam = n // p
+    min_d, witness = n + 1, None
+    masks = _symbol_masks_u64(words, p)
+    for i in range(m - 1):
+        rest = slice(i + 1, m)
+        dist = np.zeros(m - i - 1, dtype=np.int64)
+        balanced = np.ones(m - i - 1, dtype=bool)
+        constant = np.zeros(m - i - 1, dtype=bool)
+        for d in range(1, p):
+            c_d = np.zeros(m - i - 1, dtype=np.int64)
+            for a in range(p):
+                x = masks[a][i] & masks[(a - d) % p][rest]
+                c_d += np.bitwise_count(x).sum(axis=1, dtype=np.int64)
+            dist += c_d
+            balanced &= c_d == lam
+            constant |= c_d == n
+        min_d = min(min_d, int(dist.min()))
+        bad = ~(balanced | constant)
+        if witness is None and bad.any():
+            witness = (i, i + 1 + int(np.argmax(bad)))
+    return min_d, witness
+
+
+def _onehot(block: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Symbol-major float32 one-hot: out[i, a*n + k] = [block[i, k] == symbols[a]]."""
+    eq = block[:, None, :] == symbols[:, None]
+    return eq.astype(np.float32).reshape(block.shape[0], -1)
+
+
+def _scan_onehot(words: np.ndarray, p: int, n: int):
+    """C_d[i, j] = #{k : w_ik - w_jk = d} as onehot(w_i - d) . onehot(w_j),
+    computed tile by tile over row blocks, for j > i only."""
+    if n >= 1 << 24:
+        raise ValueError("float32 counts are exact only below 2^24")
+    m = words.shape[0]
+    lam = n // p
+    width = n * p
+    # The left operand holds symbols 0..p-1 twice over, so that columns
+    # d*n .. (d+p)*n of it are onehot(w_i - d): each shift is a strided
+    # view that BLAS reads in place.  The symbols are reduced in int64,
+    # so nothing wraps however large p is.
+    twice = np.arange(2 * p - 1) % p
+    # Bounding the rows by 512 also keeps a tile of counts within the budget.
+    rows = max(1, _ONEHOT_TILE_BYTES // (4 * max(width, 512)))
+    min_d, witness = n + 1, None
+    for i0 in range(0, m - 1, rows):
+        left = _onehot(words[i0 : i0 + rows], twice)
+        first_bad = None  # row-major first offending pair in this row block
+        for j0 in range(i0, m, rows):
+            right = _onehot(words[j0 : j0 + rows], twice[:p]).T
+            shape = (left.shape[0], right.shape[1])
+            dist = np.zeros(shape, dtype=np.float32)
+            balanced = np.ones(shape, dtype=bool)
+            constant = np.zeros(shape, dtype=bool)
             for d in range(1, p):
-                c_d = np.zeros(m - i - 1, dtype=np.int64)
-                for a in range(p):
-                    x = masks[a][i] & masks[(a - d) % p][rest]
-                    c_d += np.bitwise_count(x).sum(axis=1, dtype=np.int64)
+                c_d = left[:, d * n : d * n + width] @ right
                 dist += c_d
                 balanced &= c_d == lam
                 constant |= c_d == n
-            min_d = min(min_d, int(dist.min()))
             bad = ~(balanced | constant)
-            if ok and bad.any():
-                ok = False
-                witness = (i, i + 1 + int(np.argmax(bad)))
-    return PairScanResult(min_d, ok, witness, pairs)
+            if j0 == i0:  # diagonal tile: keep j > i only
+                upper = np.triu(np.ones(shape, dtype=bool), k=1)
+                dist[~upper] = n + 1
+                bad &= upper
+            min_d = min(min_d, int(dist.min()))
+            if witness is None and bad.any():
+                r, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                pair = (i0 + int(r), j0 + int(c))
+                first_bad = pair if first_bad is None else min(first_bad, pair)
+        if witness is None:
+            witness = first_bad
+    return min_d, witness
 
 
 def min_distance(c: PAryCode) -> int:
@@ -134,6 +223,7 @@ class GHCheckResult:
     ok: bool
     failure: Optional[str] = None
     witness: Optional[tuple[int, int]] = None
+    min_distance: Optional[int] = None  # from the pair scan, when it ran
 
     def __bool__(self) -> bool:
         return self.ok
@@ -141,7 +231,8 @@ class GHCheckResult:
 
 def is_gh_code(c: PAryCode) -> GHCheckResult:
     """Exact GH test: zero word, |C| = p*n, closure under +1, and every
-    pairwise difference constant or balanced.  Quadratic in |C|."""
+    pairwise difference constant or balanced.  Quadratic in |C|.  When the
+    pair scan runs, its minimum distance rides along on the result."""
     w = c.words
     n, p = c.length, c.p
     if not np.any(np.all(w == 0, axis=1)):
@@ -154,9 +245,12 @@ def is_gh_code(c: PAryCode) -> GHCheckResult:
     scan = pair_scan(w, p, n)
     if not scan.all_balanced_or_constant:
         return GHCheckResult(
-            False, "difference neither constant nor balanced", scan.witness
+            False,
+            "difference neither constant nor balanced",
+            scan.witness,
+            scan.min_distance,
         )
-    return GHCheckResult(True)
+    return GHCheckResult(True, min_distance=scan.min_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +510,10 @@ class SpanStreamer:
     def __init__(self, a: GeneratorMatrix, target_chunk: int = 4096):
         inner_idx, outer_idx = _split_rows(a, target_chunk)
         self.shape = a.shape
-        self.inner = partial_span(a, inner_idx)
-        self.outer = partial_span(a, outer_idx)
-        # Sums of two reduced entries fit the narrow dtype when p^s < 128,
-        # so the chunk arithmetic can stay byte-wide.
-        if self.inner.dtype == np.uint8 and a.shape.p**a.shape.s < 128:
-            self.mods = a.shape.column_moduli().astype(np.uint8)
-        else:
-            self.inner = self.inner.astype(np.int64)
-            self.outer = self.outer.astype(np.int64)
-            self.mods = a.shape.column_moduli()
+        fold = fold_dtype(a.shape)
+        self.inner = partial_span(a, inner_idx).astype(fold, copy=False)
+        self.outer = partial_span(a, outer_idx).astype(fold, copy=False)
+        self.mods = a.shape.column_moduli().astype(fold)
 
     @property
     def size(self) -> int:
@@ -660,7 +748,8 @@ def verify_theorems(
         checks.append(
             CheckEntry("gh_property", gh.ok, gh.failure or "all pair differences ok")
         )
-        d = min_distance(gray)
+        # is_gh_code stops before its scan on a failed precondition
+        d = gh.min_distance if gh.min_distance is not None else min_distance(gray)
         checks.append(
             CheckEntry(
                 "min_distance", d == expected_d, f"d={d}, n(p-1)/p={expected_d}"

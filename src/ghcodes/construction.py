@@ -29,9 +29,12 @@ def size_cap(default: int = DEFAULT_SIZE_CAP) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from exc
+    if cap <= 0:
+        raise ValueError(f"{_ENV_CAP} must be positive, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,15 @@ def _word_dtype(shape: CodeShape) -> np.dtype:
     return np.dtype(np.uint8 if shape.p**shape.s <= 255 else np.int64)
 
 
+def fold_dtype(shape: CodeShape) -> np.dtype:
+    """dtype for adding two reduced entries (each below p^s) before the
+    reduction: the narrowest of uint8, uint16 and int64 the sum fits in."""
+    top = 2 * (shape.p**shape.s - 1)
+    if top <= np.iinfo(np.uint8).max:
+        return np.dtype(np.uint8)
+    return np.dtype(np.uint16 if top <= np.iinfo(np.uint16).max else np.int64)
+
+
 def partial_span(a: GeneratorMatrix, row_indices) -> np.ndarray:
     """Span of a subset of rows, enumerated by folding coefficient ranges.
 
@@ -87,21 +96,18 @@ def partial_span(a: GeneratorMatrix, row_indices) -> np.ndarray:
     """
     shape = a.shape
     mods = shape.column_moduli()
-    dt = _word_dtype(shape)
-    # With p^s < 128 the sum of two reduced entries fits in uint8, so the
-    # whole fold can stay in one byte per entry.
-    small = dt == np.uint8 and shape.p**shape.s < 128
-    mods_cast = mods.astype(dt) if small else mods
-    words = np.zeros((1, shape.total_width), dtype=dt)
+    fold = fold_dtype(shape)
+    mods_fold = mods.astype(fold)
+    words = np.zeros((1, shape.total_width), dtype=fold)
     for k in row_indices:
         row = a.rows[k]
         o = order_of(a.row(k))
         pieces = []
         for c in range(o):
-            mult = ((c * row) % mods).astype(dt)
-            pieces.append((words + mult[None, :]) % mods_cast)
-        words = np.vstack(pieces).astype(dt)
-    return words
+            mult = ((c * row) % mods).astype(fold)
+            pieces.append((words + mult[None, :]) % mods_fold)
+        words = np.vstack(pieces)
+    return words.astype(_word_dtype(shape), copy=False)
 
 
 def span(a: GeneratorMatrix, cap: int | None = None) -> AdditiveCode:
@@ -187,6 +193,8 @@ def order_p_subcode(c: AdditiveCode) -> AdditiveCode:
     p^{i-1}.
     """
     p = c.shape.p
-    divisors = c.shape.column_moduli() // p  # p^{i-1} per column
-    mask = np.all(c.words.astype(np.int64) % divisors[None, :] == 0, axis=1)
+    # p^{i-1} per column; below p^s, so it fits the words' own dtype and
+    # the test needs no int64 copy of the code
+    divisors = (c.shape.column_moduli() // p).astype(c.words.dtype)
+    mask = np.all(c.words % divisors[None, :] == 0, axis=1)
     return AdditiveCode(c.shape, c.words[mask])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ghcodes import analysis
 from ghcodes.construction import TypeSignature, build
 from ghcodes.enumeration import PAryCode, gray_image, order_p_subcode, span
 from ghcodes.errors import ResourceLimitError
@@ -17,6 +18,7 @@ from ghcodes.analysis import (
     kernel_basis,
     gf_span_words,
     min_distance,
+    pair_scan,
     rank,
     verify_theorems,
 )
@@ -67,6 +69,115 @@ def test_min_distance_examples():
 
 
 # ---------------------------------------------------------------------------
+# pair scan
+# ---------------------------------------------------------------------------
+
+def reference_pair_scan(words: np.ndarray, p: int):
+    """Plain loop over every pair i < j, counting the symbols of the
+    difference: (min distance, all ok, first offending pair, pairs)."""
+    rows = words.tolist()
+    n = len(rows[0])
+    lam = n // p
+    min_d, witness, pairs = None, None, 0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            counts = [0] * p
+            for a, b in zip(rows[i], rows[j]):
+                counts[(a - b) % p] += 1
+            pairs += 1
+            d = n - counts[0]
+            min_d = d if min_d is None else min(min_d, d)
+            balanced = all(c == lam for c in counts[1:])
+            constant = any(c == n for c in counts[1:])
+            if witness is None and not (balanced or constant):
+                witness = (i, j)
+    return min_d, witness is None, witness, pairs
+
+
+def scan_inputs(p: int, wide: bool, seed: int):
+    """Distinct rows, narrow or at least 1024 wide: a subset of a GH code,
+    the same with three rows perturbed, and random rows."""
+    rng = np.random.default_rng(seed)
+    gh = gray_of(TypeSignature(p, 2, (1, 3 if p == 2 else 1))).words
+    gh = gh[rng.permutation(gh.shape[0])[:20]]
+    if wide:  # repeating the columns keeps every difference's composition
+        gh = np.tile(gh, (1, -(-1024 // gh.shape[1])))
+    perturbed = gh.copy()
+    for r in (4, 9, 15):
+        k = int(rng.integers(gh.shape[1]))
+        perturbed[r, k] = (perturbed[r, k] + 1) % p
+    noise = rng.integers(0, p, size=(12, gh.shape[1]), dtype=np.uint8)
+    out = [gh, perturbed, noise]
+    for w in out:
+        assert np.unique(w, axis=0).shape[0] == w.shape[0]
+    return out
+
+
+def check_scan(words: np.ndarray, p: int):
+    got = pair_scan(words, p, words.shape[1])
+    expected = reference_pair_scan(words, p)
+    assert (got.min_distance, got.all_balanced_or_constant, got.witness, got.pairs) == expected
+    return got
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_pair_scan_matches_reference(p, wide):
+    for seed in range(2):
+        gh, perturbed, noise = scan_inputs(p, wide, seed)
+        assert check_scan(gh, p).all_balanced_or_constant
+        assert not check_scan(perturbed, p).all_balanced_or_constant
+        check_scan(noise, p)
+
+
+@pytest.mark.parametrize("tile_rows", [1, 3])
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_pair_scan_tile_edges(monkeypatch, p, tile_rows):
+    # narrow rows, so the one-hot product kernel runs in many small tiles
+    monkeypatch.setattr(analysis, "_ONEHOT_TILE_BYTES", tile_rows * 4 * 512)
+    for seed in range(2):
+        for words in scan_inputs(p, False, seed):
+            check_scan(words, p)
+
+
+def test_pair_scan_product_kernel_refuses_inexact_widths():
+    # float32 sums of 0/1 terms are exact only below 2^24
+    with pytest.raises(ValueError):
+        analysis._scan_onehot(np.zeros((2, 3), dtype=np.uint8), 3, 1 << 24)
+
+
+def test_pair_scan_witness_is_row_major_across_tiles(monkeypatch):
+    # With 3-row tiles, the offending pair (2, 3) lies in an earlier column
+    # tile than (1, 6), which comes first in row-major order.
+    words = np.array(
+        [
+            [0, 0, 0, 0, 0, 0], [2, 1, 0, 2, 0, 1], [1, 2, 1, 2, 0, 0],
+            [1, 0, 1, 2, 0, 2], [2, 0, 2, 0, 1, 1], [1, 0, 0, 2, 1, 2],
+            [1, 1, 2, 2, 0, 0], [1, 0, 1, 0, 2, 2], [2, 0, 1, 1, 2, 0],
+        ],
+        dtype=np.uint8,
+    )
+    monkeypatch.setattr(analysis, "_ONEHOT_TILE_BYTES", 3 * 4 * 512)
+    assert check_scan(words, 3).witness == (1, 6)
+
+
+def test_verify_theorems_scans_each_code_once(monkeypatch):
+    sig = TypeSignature(3, 2, (1, 2))
+    gray = gray_of(sig)
+    calls = []
+
+    def counting_scan(words, p, n):
+        calls.append(words.shape)
+        return pair_scan(words, p, n)
+
+    monkeypatch.setattr(analysis, "pair_scan", counting_scan)
+    r = verify_theorems(sig)
+    assert calls == [gray.words.shape]
+    assert r.ok and r.min_distance_method == "exhaustive"
+    assert r.min_distance == reference_pair_scan(gray.words, 3)[0] == 18
+
+
+# ---------------------------------------------------------------------------
 # GH property
 # ---------------------------------------------------------------------------
 
@@ -103,6 +214,7 @@ def test_is_gh_code_unbalanced_difference_witness():
     result = is_gh_code(PAryCode(2, 4, words))
     assert not result
     assert result.witness is not None
+    assert result.min_distance == 1
 
 
 @pytest.mark.parametrize(
@@ -246,6 +358,12 @@ def test_verify_theorems_nonlinear_examples():
     r = verify_theorems(TypeSignature(3, 2, (1, 1)))
     assert r.ok and not r.is_linear
     assert (r.kernel_dim, r.min_distance) == (2, 6)
+
+
+def test_verify_theorems_byte_edge_signature():
+    # p^s = 243: two reduced entries can sum past 255 in the uint8 span
+    r = verify_theorems(TypeSignature(3, 5, (1, 0, 0, 0, 1)))
+    assert r.ok and r.min_distance == 162
 
 
 def test_verify_theorems_large_code_path():

@@ -66,6 +66,15 @@ def test_construct_resource_exit(capsys, monkeypatch):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_non_positive_size_cap_is_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("GHCODES_MAX_SIZE", cap)
+    code, _, err = run(capsys, "construct", "-p", "2", "-s", "2", "-t", "1,1")
+    assert code == 2 and "GHCODES_MAX_SIZE" in err
+    code, _, err = run(capsys, "analyze", "-p", "2", "-s", "2", "-t", "1,1")
+    assert code == 2 and "GHCODES_MAX_SIZE" in err
+
+
 # ---------------------------------------------------------------------------
 # gray / span
 # ---------------------------------------------------------------------------

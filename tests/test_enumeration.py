@@ -1,5 +1,7 @@
 """Spanning additive codes, Gray images, and the order-p subcode."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,33 @@ def test_span_contains_zero_and_is_closed():
 def test_span_no_duplicates():
     code = span(build(TypeSignature(3, 2, (2, 1))))
     assert distinct_count(code.words) == len(code)
+
+
+def reference_span(a) -> set:
+    """Every coefficient combination of the rows, in plain int64 arithmetic."""
+    rows = a.rows.astype(np.int64)
+    mods = a.shape.column_moduli().astype(np.int64)
+    orders = [int(np.max(mods // np.gcd(row, mods))) for row in rows]
+    out = set()
+    for coeffs in itertools.product(*(range(o) for o in orders)):
+        word = np.zeros(rows.shape[1], dtype=np.int64)
+        for c, row in zip(coeffs, rows):
+            word = (word + c * row) % mods
+        out.add(tuple(word.tolist()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [TypeSignature(13, 2, (1, 1)), TypeSignature(3, 5, (1, 0, 0, 0, 1))],
+)
+def test_span_near_byte_edge_matches_int64_reference(sig):
+    # 128 <= p^s <= 255: words are stored in uint8, but two reduced
+    # entries can sum past 255 before the reduction
+    a = build(sig)
+    code = span(a)
+    assert code.words.dtype == np.uint8
+    assert {tuple(w) for w in code.words.tolist()} == reference_span(a)
 
 
 def test_span_resource_cap():
