@@ -20,7 +20,6 @@ from .construction import (
     build,
     extend_with_row,
     parse_text,
-    shape_of,
     to_text,
 )
 from .enumeration import AdditiveCode, PAryCode, gray_image, order_p_subcode, span
@@ -67,7 +66,6 @@ __all__ = [
     "phi_extended",
     "rank",
     "scalar_mul",
-    "shape_of",
     "span",
     "to_text",
     "verify_theorems",

@@ -1,18 +1,18 @@
 """Structural invariants of p-ary codes and the theorem-replay report.
 
-Small codes (|C| <= quad cap) get the full quadratic treatment: exact
-minimum distance, exhaustive balanced-difference checks, definitional
-kernel, rank by elimination.  One exact pair scan per code serves both
-the GH property and the minimum distance: p = 2 XORs bit-packed rows,
-p > 2 counts each difference symbol as tiled one-hot float32 products on
-narrow rows and with packed per-symbol masks on wide ones.  Larger codes
-get exact cardinality and linearity certificates plus sampled pair
-checks, so the grid sweep stays desk-scale.
+Every code gets the same exact checks, none of which enumerates it: the
+group order by elimination, the GH property and the minimum distance from
+character sums over the coefficient group (every codeword's Gray
+composition at once), and the rank of the Gray image from the coset
+decomposition C = R + H_p.  Codes within the quad cap (|C| <= 4096 by
+default) are also enumerated and cross-checked by brute force: one exact
+pair scan per code (p = 2 XORs bit-packed rows, p > 2 counts each
+difference symbol as tiled one-hot float32 products), rank by elimination
+over every codeword, and the definitional kernel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,22 +20,19 @@ import numpy as np
 
 from .construction import GeneratorMatrix, TypeSignature, build
 from .enumeration import (
-    AdditiveCode,
     PAryCode,
     additive_span_order,
-    fold_dtype,
     gray_image,
     order_p_subcode,
     packed_view,
     partial_span,
     span,
 )
-from .errors import ResourceLimitError
-from .gray import gray_rows, mixed_gray, shift_translates_to_all_ones
-from .ring import order_of, scalar_mul
+from .errors import IntegrityError, ResourceLimitError
+from .gray import composition_lemma_holds, gray_rows, shift_translates_to_all_ones
+from .ring import CodeShape, row_orders
 
 DEFAULT_QUAD_CAP = 2**12
-DEFAULT_PAIR_TARGET = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +47,6 @@ def hamming_distance(u, v) -> int:
     return int(np.count_nonzero(u != v))
 
 
-def hamming_weight(u) -> int:
-    return int(np.count_nonzero(np.asarray(u)))
-
-
 def _pack_bits_u64(words: np.ndarray) -> np.ndarray:
     """Pack 0/1 rows into uint64 lanes (zero-padded)."""
     pk = np.packbits(words, axis=1)
@@ -63,26 +56,11 @@ def _pack_bits_u64(words: np.ndarray) -> np.ndarray:
     return pk.view(np.uint64)
 
 
-def _symbol_masks_u64(words: np.ndarray, p: int) -> list[np.ndarray]:
-    return [_pack_bits_u64((words == a).astype(np.uint8)) for a in range(p)]
-
-
 # Bytes of one float32 one-hot right operand in the p > 2 product kernel;
 # the left operand, which holds each symbol twice, stays under twice this.
 # The kernel holds one left and one right operand and one tile of counts
 # at a time, so it never builds the one-hot of a whole code.
 _ONEHOT_TILE_BYTES = 1 << 20
-
-# Row width from which p > 2 scans use packed per-symbol masks instead of
-# the one-hot products.  A product does about p^2*n flops per pair where
-# the masks do p^2*n/64 lane operations plus p^2 numpy calls per row, and
-# the product's tiles get fewer rows as n*p grows.  Masks time over
-# product time, on a 2-core x86-64 machine: 2.6 at p = 3, n = 729 (a
-# whole 2187-word code); 0.66 at p = 11, n = 1331 and 0.31 at p = 7,
-# n = 2401 (449-row sampled-path scans).  Exhaustive-path rows have
-# n <= 729 under the 4096 quad cap; sampled-path rows with p <= 13 have
-# n >= 1331.
-_MASK_MIN_WIDTH = 1024
 
 
 @dataclass
@@ -102,20 +80,13 @@ def pair_scan(words: np.ndarray, p: int, n: int) -> PairScanResult:
     pair (i, j), i < j, in row-major order.
 
     p = 2 XORs bit-packed rows.  p > 2 counts, for every pair and every
-    d, the columns where the difference equals d: as one-hot float32
-    products for rows narrower than _MASK_MIN_WIDTH, else with packed
-    per-symbol masks.
+    d, the columns where the difference equals d, as one-hot float32
+    products.
     """
     m = words.shape[0]
     if m < 2:
         return PairScanResult(None, True, None, 0)
-    if p == 2:
-        scan = _scan_gf2
-    elif n < _MASK_MIN_WIDTH:
-        scan = _scan_onehot
-    else:
-        scan = _scan_masks
-    min_d, witness = scan(words, p, n)
+    min_d, witness = (_scan_gf2 if p == 2 else _scan_onehot)(words, p, n)
     return PairScanResult(min_d, witness is None, witness, m * (m - 1) // 2)
 
 
@@ -127,31 +98,6 @@ def _scan_gf2(words: np.ndarray, p: int, n: int):
         w = np.bitwise_count(pk[i + 1 :] ^ pk[i]).sum(axis=1, dtype=np.int64)
         min_d = min(min_d, int(w.min()))
         bad = (w != lam) & (w != n)
-        if witness is None and bad.any():
-            witness = (i, i + 1 + int(np.argmax(bad)))
-    return min_d, witness
-
-
-def _scan_masks(words: np.ndarray, p: int, n: int):
-    m = words.shape[0]
-    lam = n // p
-    min_d, witness = n + 1, None
-    masks = _symbol_masks_u64(words, p)
-    for i in range(m - 1):
-        rest = slice(i + 1, m)
-        dist = np.zeros(m - i - 1, dtype=np.int64)
-        balanced = np.ones(m - i - 1, dtype=bool)
-        constant = np.zeros(m - i - 1, dtype=bool)
-        for d in range(1, p):
-            c_d = np.zeros(m - i - 1, dtype=np.int64)
-            for a in range(p):
-                x = masks[a][i] & masks[(a - d) % p][rest]
-                c_d += np.bitwise_count(x).sum(axis=1, dtype=np.int64)
-            dist += c_d
-            balanced &= c_d == lam
-            constant |= c_d == n
-        min_d = min(min_d, int(dist.min()))
-        bad = ~(balanced | constant)
         if witness is None and bad.any():
             witness = (i, i + 1 + int(np.argmax(bad)))
     return min_d, witness
@@ -253,6 +199,94 @@ def is_gh_code(c: PAryCode) -> GHCheckResult:
     return GHCheckResult(True, min_distance=scan.min_distance)
 
 
+@dataclass
+class GHCertificate:
+    """The pairwise part of the GH property, for every codeword at once."""
+
+    ok: bool  # every nonzero codeword's Gray image is balanced or constant
+    min_distance: Optional[int]  # None for a one-word code
+    witness: Optional[tuple[int, ...]]  # coefficients of the first offender
+
+
+def _exact_counts(x: np.ndarray) -> np.ndarray:
+    counts = np.rint(x.real)
+    off = float(np.abs(x - counts).max(initial=0.0))
+    if off > 0.25:
+        raise IntegrityError(f"character sum lies {off:.3g} from an integer count")
+    return counts.astype(np.int64)
+
+
+def character_sum_check(rows: np.ndarray, shape: CodeShape) -> GHCertificate:
+    """Exact GH verdict and minimum distance of the Gray image of the span
+    of free rows, without enumerating the span.
+
+    Codeword a = (a_k) in G = prod Z_{o_k} is sum a_k w_k.  Since
+    phi(u) - phi(v) has the composition of phi(u - v), the image is GH iff
+    every nonzero codeword's Gray image is balanced or constant, and d is
+    their least weight.  A Z_{p^i} entry Gray-maps to the constant v when
+    it equals p^{i-1} v and to a balanced block otherwise.  With y_j in G,
+    y_kj = w_kj * o_k / p^i, and S = conj(fftn(histogram of y_j)),
+    S(a) = sum_j zeta_{p^i}^{c_j(a)} over the block's columns, and
+
+        #{j : c_j(a) = p^{i-1} v} = p^-i sum_{m in Z_{p^i}} zeta_p^{-mv} S(m a).
+
+    The rows must be free (|G| = |span|), which the caller certifies.
+    """
+    p = shape.p
+    rows = np.asarray(rows, dtype=np.int64)
+    o = row_orders(rows, shape)
+    axes = tuple(int(x) for x in o)
+    size = int(np.prod(o))
+    comp = np.zeros((p, size), dtype=np.int64)  # Gray symbol counts per codeword
+    pos = 0
+    for i, alpha in enumerate(shape.alphas, start=1):
+        block = rows[:, pos : pos + alpha]
+        pos += alpha
+        if alpha == 0:
+            continue
+        if not composition_lemma_holds(p, i):
+            raise IntegrityError(f"composition lemma fails on the ({p}, {i}) table")
+        q = p**i
+        y = (block * o[:, None] // q) % o[:, None]
+        hist = np.bincount(np.ravel_multi_index(tuple(y), axes), minlength=size)
+        chars = np.conj(np.fft.fftn(hist.reshape(axes)))
+        # by_residue[t] = sum of S(m a) over the m = t mod p
+        by_residue = np.zeros((p,) + axes, dtype=complex)
+        for m in range(q):
+            by_residue[m % p] += chars[np.ix_(*[(m * np.arange(x)) % x for x in axes])]
+        const = _exact_counts(np.fft.fft(by_residue, axis=0).reshape(p, size) / q)
+        comp += p ** (i - 1) * const
+        if i >= 2:
+            comp += p ** (i - 2) * (alpha - const.sum(axis=0))
+    n = shape.gray_length()
+    balanced = np.all(comp[1:] == n // p, axis=0)
+    constant = np.any(comp[1:] == n, axis=0)
+    bad = ~(balanced | constant)
+    bad[0] = False  # the zero codeword
+    witness = None
+    if bad.any():
+        witness = tuple(int(x) for x in np.unravel_index(int(np.argmax(bad)), axes))
+    d = int((n - comp[0, 1:]).min()) if size > 1 else None
+    return GHCertificate(witness is None, d, witness)
+
+
+def all_ones_closure_check(a: GeneratorMatrix) -> bool:
+    """Exact closure of the Gray image under +1, without enumeration.
+
+    Verified facts: the first generator row Gray-maps to the all-one
+    vector, and adding p^{r-1} to any Z_{p^r} coordinate adds 1 to every
+    Gray digit (checked exhaustively on the per-(p, r) tables).  Together
+    these give Phi(C) + 1 = Phi(C + w_1) = Phi(C).
+    """
+    shape = a.shape
+    first = a.rows[0]
+    if not np.array_equal(first, shape.column_moduli() // shape.p):
+        return False
+    if not np.all(gray_rows(first[None, :], shape) == 1):
+        return False
+    return all(shift_translates_to_all_ones(shape.p, r) for r in range(1, shape.s + 1))
+
+
 # ---------------------------------------------------------------------------
 # rank / linearity
 # ---------------------------------------------------------------------------
@@ -279,11 +313,9 @@ class GFBasis:
         if self.p == 2:
             self._add_rows_gf2(_pack_bits_u64(rows))
         else:
-            self._add_rows_gfp(rows.astype(np.int16))
-
-    def add_packed_gf2(self, packed: np.ndarray) -> None:
-        if not self.exceeded:
-            self._add_rows_gf2(packed.copy())
+            # products of two reduced entries must not wrap
+            wide = (self.p - 1) ** 2 > np.iinfo(np.int16).max
+            self._add_rows_gfp(rows.astype(np.int64 if wide else np.int16))
 
     def _bump(self) -> None:
         self.rank += 1
@@ -348,6 +380,25 @@ def rank(c: PAryCode) -> int:
     return gf_rank(c.words, c.p)
 
 
+def coset_rank(rows: np.ndarray, shape: CodeShape) -> int:
+    """Rank of the Gray image of the span of the rows, enumerating only
+    coset representatives.
+
+    With a_k = r_k + (o_k/p) b_k, C = R + H_p, where R takes 0 <= r_k <
+    o_k/p and H_p is spanned by the (o_k/p) w_k.  Adding an order-p word
+    changes only top p-ary digits, without carry, so digit-linearity gives
+    Phi(r + h) = Phi(r) + Phi(h), and span Phi(C) is spanned by Phi(R) and
+    the Phi((o_k/p) w_k).
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    basis = GFBasis(shape.p, shape.gray_length())
+    basis.add_rows(gray_rows(_order_p_generators(rows, shape), shape))
+    reps = partial_span(rows, shape, row_orders(rows, shape) // shape.p)
+    for lo in range(0, reps.shape[0], 4096):
+        basis.add_rows(gray_rows(reps[lo : lo + 4096], shape))
+    return basis.rank
+
+
 def _log_p(size: int, p: int) -> Optional[int]:
     k = 0
     while p**k < size:
@@ -366,31 +417,13 @@ def is_linear(c: PAryCode) -> bool:
 # kernel
 # ---------------------------------------------------------------------------
 
-class _WordSet:
-    """Exact membership for a fixed set of uint8 rows."""
-
-    def __init__(self, words: np.ndarray):
-        self._n = words.shape[1]
-        buf = np.ascontiguousarray(words).tobytes()
-        self._set = frozenset(
-            buf[i * self._n : (i + 1) * self._n] for i in range(words.shape[0])
-        )
-
-    def contains_all(self, rows: np.ndarray) -> bool:
-        buf = np.ascontiguousarray(rows).tobytes()
-        n = self._n
-        return all(
-            buf[i * n : (i + 1) * n] in self._set for i in range(rows.shape[0])
-        )
-
-    def membership(self, rows: np.ndarray) -> np.ndarray:
-        buf = np.ascontiguousarray(rows).tobytes()
-        n = self._n
-        return np.fromiter(
-            (buf[i * n : (i + 1) * n] in self._set for i in range(rows.shape[0])),
-            dtype=bool,
-            count=rows.shape[0],
-        )
+def _contains(sorted_keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Membership of each uint8 row among the words whose sorted packed
+    view is sorted_keys."""
+    at = np.searchsorted(sorted_keys, packed_view(rows))
+    found = sorted_keys[np.minimum(at, sorted_keys.size - 1)]
+    # comparing bytes is faster than comparing the opaque scalars
+    return np.all(found.view(np.uint8).reshape(rows.shape) == rows, axis=1)
 
 
 def gf_span_words(vectors: np.ndarray, p: int) -> np.ndarray:
@@ -423,13 +456,13 @@ def kernel(
     p, n = c.p, c.length
     if not np.any(np.all(w == 0, axis=1)):
         raise ValueError("kernel requires the zero word in C")
-    members = _WordSet(w)
+    members = c.sorted_packed()
     rng = np.random.default_rng(seed)
     alive = np.ones(len(c), dtype=bool)
     for idx in rng.choice(len(c), size=min(probes, len(c)), replace=False):
         rows = np.flatnonzero(alive)
         sums = (w[rows].astype(np.uint16) + w[idx]) % p
-        alive[rows[~members.membership(sums.astype(np.uint8))]] = False
+        alive[rows[~_contains(members, sums.astype(np.uint8))]] = False
     survivors = w[alive]
 
     while True:
@@ -446,7 +479,7 @@ def kernel(
         bad = None
         for row in basis_rows:
             sums = ((w.astype(np.uint16) + row) % p).astype(np.uint8)
-            if not members.contains_all(sums):
+            if not _contains(members, sums).all():
                 bad = row
                 break
         if bad is None:
@@ -473,143 +506,13 @@ def kernel_basis(a: GeneratorMatrix) -> np.ndarray:
     """
     if expected_linear(a.signature):
         raise ValueError("kernel_basis is undefined for linear Gray images")
-    p = a.shape.p
-    out = []
-    for k in range(a.rows.shape[0]):
-        w = a.row(k)
-        out.append(mixed_gray(scalar_mul(order_of(w) // p, w)))
-    return np.asarray(out, dtype=np.uint8)
+    return gray_rows(_order_p_generators(a.rows, a.shape), a.shape)
 
 
-# ---------------------------------------------------------------------------
-# large-code machinery
-# ---------------------------------------------------------------------------
-
-def _split_rows(a: GeneratorMatrix, target: int = 4096) -> tuple[list[int], list[int]]:
-    """Partition row indices so the inner partial span stays <= target."""
-    inner, outer = [], []
-    prod = 1
-    for k in range(a.rows.shape[0]):
-        o = order_of(a.row(k))
-        if prod * o <= target:
-            inner.append(k)
-            prod *= o
-        else:
-            outer.append(k)
-    return inner, outer
-
-
-class SpanStreamer:
-    """Chunked, memory-bounded enumeration and sampling of a span.
-
-    Codewords are inner + outer sums of two disjoint partial spans; this
-    covers the code exactly once provided the generator rows are free,
-    which the cardinality check certifies separately.
-    """
-
-    def __init__(self, a: GeneratorMatrix, target_chunk: int = 4096):
-        inner_idx, outer_idx = _split_rows(a, target_chunk)
-        self.shape = a.shape
-        fold = fold_dtype(a.shape)
-        self.inner = partial_span(a, inner_idx).astype(fold, copy=False)
-        self.outer = partial_span(a, outer_idx).astype(fold, copy=False)
-        self.mods = a.shape.column_moduli().astype(fold)
-
-    @property
-    def size(self) -> int:
-        return self.inner.shape[0] * self.outer.shape[0]
-
-    def _reduce(self, sums: np.ndarray) -> np.ndarray:
-        if self.shape.p == 2:  # power-of-two moduli reduce by masking
-            return sums & (self.mods - 1)
-        return sums % self.mods
-
-    def chunks(self):
-        for b in self.outer:
-            yield self._reduce(self.inner + b[None, :])
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        ia = rng.integers(0, self.inner.shape[0], size=m)
-        ib = rng.integers(0, self.outer.shape[0], size=m)
-        return self._reduce(self.inner[ia] + self.outer[ib])
-
-
-def sampled_gh_check(
-    streamer: SpanStreamer,
-    n: int,
-    pair_target: int = DEFAULT_PAIR_TARGET,
-    rng: np.random.Generator | None = None,
-) -> PairScanResult:
-    """Balanced-or-constant check over all pairs of a random codeword
-    sample large enough to cover at least pair_target distinct pairs."""
-    rng = rng or np.random.default_rng(0)
-    need = int(math.isqrt(2 * pair_target)) + 2  # smallest m with C(m,2) >= target
-    shape = streamer.shape
-    m = need
-    while True:
-        words = streamer.sample(m + m // 4, rng)
-        distinct = np.unique(packed_view(words), return_index=True)[1]
-        if distinct.size >= need:
-            words = words[np.sort(distinct)[:need]]
-            break
-        m *= 2
-        if m > streamer.size:
-            # tiny code: fall back to the full enumeration
-            words = np.vstack(list(streamer.chunks()))
-            words = words[np.sort(np.unique(packed_view(words), return_index=True)[1])]
-            break
-    gray = gray_rows(words, shape)
-    return pair_scan(gray, shape.p, n)
-
-
-def linearity_certificate(
-    a: GeneratorMatrix,
-    streamer: SpanStreamer,
-    rng: np.random.Generator | None = None,
-    sample: int = 512,
-) -> tuple[bool, int, bool]:
-    """Exact linearity decision for Gray images too large to materialize.
-
-    Returns (is_linear, rank_observed, rank_is_exact).  Rank above
-    log_p|C| certifies nonlinearity; a full streamed pass that never
-    exceeds it certifies linearity (the span then has exactly |C|
-    elements and contains C).
-    """
-    rng = rng or np.random.default_rng(0)
-    sig = a.signature
-    e = sig.code_size_exponent()
-    n = a.shape.gray_length()
-    basis = GFBasis(sig.p, n, stop_above=e)
-    basis.add_rows(gray_rows(streamer.sample(sample, rng), a.shape))
-    if basis.exceeded:
-        return False, basis.rank, False
-    for chunk in streamer.chunks():
-        basis.add_rows(gray_rows(chunk, a.shape))
-        if basis.exceeded:
-            return False, basis.rank, False
-    return True, basis.rank, True
-
-
-def all_ones_closure_check(a: GeneratorMatrix) -> bool:
-    """Exact closure of the Gray image under +1, without enumeration.
-
-    Verified facts: the first generator row Gray-maps to the all-one
-    vector, and adding p^{r-1} to any Z_{p^r} coordinate adds 1 to every
-    Gray digit (checked exhaustively on the per-(p, r) tables).  Together
-    these give Phi(C) + 1 = Phi(C + w_1) = Phi(C).
-    """
-    shape = a.shape
-    p = shape.p
-    first = a.row(0)
-    expected_blocks = tuple(
-        tuple([p ** (i - 1)] * alpha)
-        for i, alpha in enumerate(shape.alphas, start=1)
-    )
-    if first.blocks != expected_blocks:
-        return False
-    if not np.all(mixed_gray(first) == 1):
-        return False
-    return all(shift_translates_to_all_ones(p, r) for r in range(1, shape.s + 1))
+def _order_p_generators(rows: np.ndarray, shape: CodeShape) -> np.ndarray:
+    """(o_k/p) * w_k for every row w_k of order o_k: generators of H_p."""
+    o = row_orders(rows, shape)
+    return (rows * (o // shape.p)[:, None]) % shape.column_moduli()
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +601,18 @@ class AnalysisReport:
 def verify_theorems(
     sig: TypeSignature,
     quad_cap: int = DEFAULT_QUAD_CAP,
-    pair_target: int = DEFAULT_PAIR_TARGET,
     kernel_mode: str = "auto",
     seed: int = 7,
     cap: int | None = None,
 ) -> AnalysisReport:
-    """Build, span, Gray-map, and compare every claimed invariant against
-    an independently computed value.  Nothing is assumed from the
-    classification: both sides of each statement are computed."""
+    """Build the code and compare every claimed invariant against an
+    independently computed value.  Nothing is assumed from the
+    classification: both sides of each statement are computed.
+
+    Every code gets the exact certificates; codes of at most quad_cap
+    words are also enumerated and cross-checked by brute force, and seed
+    drives the brute-force kernel's probes.
+    """
     if kernel_mode not in ("auto", "brute", "basis"):
         raise ValueError(f"unknown kernel mode {kernel_mode!r}")
     a = build(sig, cap=cap)
@@ -717,173 +624,121 @@ def verify_theorems(
     exp_lin = expected_linear(sig)
     checks: list[CheckEntry] = []
     skipped: list[str] = []
-    rng = np.random.default_rng(seed)
+
+    def check(name: str, passed, detail: str) -> None:
+        checks.append(CheckEntry(name, bool(passed), detail))
 
     group_order = additive_span_order(a)
-    checks.append(
-        CheckEntry(
-            "cardinality",
-            group_order == size,
-            f"group order {group_order}, signature predicts {size}",
-        )
+    free = group_order == size
+    check(
+        "cardinality", free, f"group order {group_order}, signature predicts {size}"
     )
-    checks.append(
-        CheckEntry("size_pn", size == p * n, f"|C|={size}, p*n={p * n}")
-    )
-    checks.append(
-        CheckEntry(
-            "gray_length",
-            n == size // p,
-            f"n={n}, |C|/p={size // p}",
-        )
-    )
-
-    expected_d = n * (p - 1) // p
-    kernel_words = None
-
-    if size <= quad_cap:
-        code = span(a, cap=max(size, quad_cap))
-        gray = gray_image(code)
-        gh = is_gh_code(gray)
-        checks.append(
-            CheckEntry("gh_property", gh.ok, gh.failure or "all pair differences ok")
-        )
-        # is_gh_code stops before its scan on a failed precondition
-        d = gh.min_distance if gh.min_distance is not None else min_distance(gray)
-        checks.append(
-            CheckEntry(
-                "min_distance", d == expected_d, f"d={d}, n(p-1)/p={expected_d}"
-            )
-        )
-        r = rank(gray)
-        lin_rank = r == e
-        kern = None
-        lin_kernel = None
-        if kernel_mode in ("auto", "brute"):
-            kern = kernel(gray, cap=quad_cap, seed=seed)
-            lin_kernel = len(kern) == len(gray)
-            kernel_words = kern.words
-        if kernel_mode == "auto":
-            checks.append(
-                CheckEntry(
-                    "linearity_cross_check",
-                    lin_rank == lin_kernel,
-                    f"rank says {lin_rank}, kernel says {lin_kernel}",
-                )
-            )
-        lin = lin_rank
-        checks.append(
-            CheckEntry(
-                "linearity_classification",
-                lin == exp_lin,
-                f"computed {lin}, classification says {exp_lin}",
-            )
-        )
-        if lin:
-            kdim = e
-            if kern is not None:
-                checks.append(
-                    CheckEntry(
-                        "kernel_equals_code",
-                        kern.same_set(gray),
-                        "linear code must be its own kernel",
-                    )
-                )
-        else:
-            basis_vecs = kernel_basis(a)
-            basis_span = PAryCode(p, n, gf_span_words(basis_vecs, p))
-            basis_dim = gf_rank(basis_vecs, p)
-            checks.append(
-                CheckEntry(
-                    "kernel_basis_independent",
-                    basis_dim == sig.num_rows,
-                    f"rank of Phi(Q) = {basis_dim}, rows = {sig.num_rows}",
-                )
-            )
-            if kernel_mode == "basis":
-                kern_for_dim = basis_span
-                kernel_words = basis_span.words
-            else:
-                kern_for_dim = kern
-                phi_hp = gray_image(order_p_subcode(code))
-                checks.append(
-                    CheckEntry(
-                        "kernel_theorem",
-                        kern.same_set(PAryCode(p, n, phi_hp.words)),
-                        f"|K|={len(kern)}, |Phi(H_p)|={len(phi_hp)}",
-                    )
-                )
-                checks.append(
-                    CheckEntry(
-                        "kernel_basis_span",
-                        basis_span.same_set(kern),
-                        f"|span Phi(Q)|={len(basis_span)}, |K|={len(kern)}",
-                    )
-                )
-            kdim = _log_p(len(kern_for_dim), p)
-            checks.append(
-                CheckEntry(
-                    "kernel_dimension",
-                    kdim == sig.num_rows,
-                    f"dim K = {kdim}, t_1+...+t_s = {sig.num_rows}",
-                )
-            )
-        return AnalysisReport(
-            sig, shape, n, size, d, "exhaustive", gh.ok, lin, kdim, r, "exact",
-            checks, skipped, kernel_words,
-        )
-
-    # large code: sampled pair checks plus exact certificates
-    streamer = SpanStreamer(a)
+    check("size_pn", size == p * n, f"|C|={size}, p*n={p * n}")
+    check("gray_length", n == size // p, f"n={n}, |C|/p={size // p}")
     closure = all_ones_closure_check(a)
-    checks.append(
-        CheckEntry(
-            "closure_all_ones",
-            closure,
-            "first row Gray-maps to 1 and per-block shift identities hold",
-        )
+    check(
+        "closure_all_ones",
+        closure,
+        "first row Gray-maps to 1 and per-block shift identities hold",
     )
-    scan = sampled_gh_check(streamer, n, pair_target, rng)
-    checks.append(
-        CheckEntry(
-            "balanced_differences",
-            scan.all_balanced_or_constant,
-            f"{scan.pairs} sampled pairs, zero violations"
-            if scan.all_balanced_or_constant
-            else f"violation at sampled pair {scan.witness}",
-        )
-    )
-    checks.append(
-        CheckEntry(
-            "min_distance",
-            scan.min_distance == expected_d,
-            f"sampled d={scan.min_distance}, n(p-1)/p={expected_d}",
-        )
-    )
-    gh_ok = closure and scan.all_balanced_or_constant
-    lin, r, r_exact = linearity_certificate(a, streamer, rng)
-    checks.append(
-        CheckEntry(
-            "linearity_classification",
-            lin == exp_lin,
-            f"computed {lin}, classification says {exp_lin}",
-        )
-    )
-    skipped.append("kernel_theorem (|C| above brute-force cap)")
-    if lin:
-        kdim = e
+
+    # the certificate needs free rows, which the cardinality check certifies
+    if not free:
+        cert = GHCertificate(False, None, None)
+        detail = "rows not free; character sums skipped"
     else:
-        basis_vecs = kernel_basis(a)
-        basis_dim = gf_rank(basis_vecs, p)
-        checks.append(
-            CheckEntry(
-                "kernel_basis_independent",
-                basis_dim == sig.num_rows,
-                f"rank of Phi(Q) = {basis_dim}, rows = {sig.num_rows}",
-            )
+        cert = character_sum_check(a.rows, shape)
+        detail = (
+            "every nonzero codeword balanced or constant (character sums)"
+            if cert.ok
+            else f"codeword with coefficients {cert.witness} neither balanced "
+            "nor constant"
         )
-        kdim = basis_dim
+    check("gh_property", cert.ok, detail)
+    d = cert.min_distance
+    expected_d = n * (p - 1) // p
+    check("min_distance", d == expected_d, f"d={d}, n(p-1)/p={expected_d}")
+    is_gh = cert.ok and closure and size == p * n
+
+    r = coset_rank(a.rows, shape)
+    lin = p**r == group_order
+    check(
+        "linearity_classification",
+        lin == exp_lin,
+        f"computed {lin}, classification says {exp_lin}",
+    )
+    kdim = e
+    if not lin:
+        basis_vecs = kernel_basis(a)
+        kdim = gf_rank(basis_vecs, p)
+        check(
+            "kernel_basis_independent",
+            kdim == sig.num_rows,
+            f"rank of Phi(Q) = {kdim}, rows = {sig.num_rows}",
+        )
+
+    if size > quad_cap:
+        skipped.append("kernel_theorem (|C| above brute-force cap)")
+        return AnalysisReport(
+            sig, shape, n, size, d, "character-sum", is_gh, lin, kdim, r, "exact",
+            checks, skipped, None,
+        )
+
+    # brute-force cross-checks on the enumerated code
+    code = span(a, cap=max(size, quad_cap))
+    gray = gray_image(code)
+    gh = is_gh_code(gray)
+    # is_gh_code stops before its scan on a failed precondition
+    scan_d = gh.min_distance if gh.min_distance is not None else min_distance(gray)
+    check(
+        "gh_cross_check",
+        gh.ok == is_gh and scan_d == d,
+        f"pair scan: GH {gh.ok}, d={scan_d}"
+        + (f" ({gh.failure}, witness {gh.witness})" if gh.failure else "")
+        + f"; certificates: GH {is_gh}, d={d}",
+    )
+    brute_r = rank(gray)
+    check(
+        "rank_cross_check", brute_r == r, f"elimination over C: {brute_r}, coset: {r}"
+    )
+    kern = kernel(gray, cap=quad_cap, seed=seed) if kernel_mode != "basis" else None
+    if kernel_mode == "auto":
+        lin_kernel = len(kern) == len(gray)
+        check(
+            "linearity_cross_check",
+            lin == lin_kernel,
+            f"rank says {lin}, kernel says {lin_kernel}",
+        )
+    if lin:
+        if kern is not None:
+            check(
+                "kernel_equals_code",
+                kern.same_set(gray),
+                "linear code must be its own kernel",
+            )
+    else:
+        basis_span = PAryCode(p, n, gf_span_words(basis_vecs, p))
+        if kern is None:
+            kern = basis_span
+        else:
+            phi_hp = gray_image(order_p_subcode(code))
+            check(
+                "kernel_theorem",
+                kern.same_set(PAryCode(p, n, phi_hp.words)),
+                f"|K|={len(kern)}, |Phi(H_p)|={len(phi_hp)}",
+            )
+            check(
+                "kernel_basis_span",
+                basis_span.same_set(kern),
+                f"|span Phi(Q)|={len(basis_span)}, |K|={len(kern)}",
+            )
+        kdim = _log_p(len(kern), p)
+        check(
+            "kernel_dimension",
+            kdim == sig.num_rows,
+            f"dim K = {kdim}, t_1+...+t_s = {sig.num_rows}",
+        )
     return AnalysisReport(
-        sig, shape, n, size, scan.min_distance, "sampled", gh_ok, lin, kdim,
-        r, "exact" if r_exact else "lower-bound", checks, skipped, None,
+        sig, shape, n, size, d, "exhaustive", is_gh, lin, kdim, r, "exact",
+        checks, skipped, None if kern is None else kern.words,
     )

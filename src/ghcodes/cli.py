@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (
-    DEFAULT_PAIR_TARGET,
-    DEFAULT_QUAD_CAP,
-    AnalysisReport,
-    verify_theorems,
-)
+from .analysis import DEFAULT_QUAD_CAP, AnalysisReport, verify_theorems
 from .construction import (
     GeneratorMatrix,
     TypeSignature,
@@ -121,7 +116,6 @@ def cmd_analyze(args) -> int:
     report = verify_theorems(
         _parse_signature(args),
         quad_cap=args.quad_cap,
-        pair_target=args.pairs,
         kernel_mode=args.kernel,
         seed=args.seed,
     )
@@ -140,7 +134,6 @@ class GridSpec:
     s_values: tuple[int, ...] = (2, 3)
     max_size: int = DEFAULT_GRID_CAP
     quad_cap: int = DEFAULT_QUAD_CAP
-    pair_target: int = DEFAULT_PAIR_TARGET
     seed: int = 7
     skipped_families: list = field(default_factory=list)
 
@@ -213,7 +206,6 @@ def run_grid(spec: GridSpec, out=sys.stdout) -> tuple[list[AnalysisReport], int]
         report = verify_theorems(
             sig,
             quad_cap=spec.quad_cap,
-            pair_target=spec.pair_target,
             seed=spec.seed,
             cap=spec.max_size,
         )
@@ -234,9 +226,7 @@ def run_grid(spec: GridSpec, out=sys.stdout) -> tuple[list[AnalysisReport], int]
 def cmd_grid(args) -> int:
     primes = tuple(int(x) for x in args.primes.split(",") if x)
     s_values = tuple(int(x) for x in args.s_values.split(",") if x)
-    spec = GridSpec(
-        primes, s_values, args.max_size, args.quad_cap, args.pairs, args.seed
-    )
+    spec = GridSpec(primes, s_values, args.max_size, args.quad_cap, args.seed)
     reports, failed = run_grid(spec)
     summary = {
         "total": len(reports),
@@ -260,7 +250,6 @@ def cmd_grid(args) -> int:
                     "s_values": list(s_values),
                     "max_size": args.max_size,
                     "quad_cap": args.quad_cap,
-                    "pair_target": args.pairs,
                     "seed": args.seed,
                 },
                 "results": [r.to_json_dict(include_kernel=False) for r in reports],
@@ -313,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--kernel", choices=("auto", "brute", "basis"), default="auto")
     an.add_argument("--json", action="store_true")
     an.add_argument("--quad-cap", type=int, default=DEFAULT_QUAD_CAP)
-    an.add_argument("--pairs", type=int, default=DEFAULT_PAIR_TARGET)
     an.add_argument("--seed", type=int, default=7)
     an.set_defaults(func=cmd_analyze)
 
@@ -322,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--s-values", default="2,3")
     gr.add_argument("--max-size", type=int, default=DEFAULT_GRID_CAP)
     gr.add_argument("--quad-cap", type=int, default=DEFAULT_QUAD_CAP)
-    gr.add_argument("--pairs", type=int, default=DEFAULT_PAIR_TARGET)
     gr.add_argument("--seed", type=int, default=7)
     gr.add_argument("--out", default=None, help="write per-signature JSON report")
     gr.add_argument("--csv", default=None, help="write the CSV summary")

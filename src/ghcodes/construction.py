@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .ring import CodeShape, MixedVector, is_prime, order_of
+from .ring import CodeShape, MixedVector, is_prime, row_orders
 
 DEFAULT_SIZE_CAP = 2**22
 
@@ -99,10 +99,6 @@ class GeneratorMatrix:
         return self.rows[:, start : start + self.shape.alphas[i - 1]]
 
 
-def shape_of(a: GeneratorMatrix) -> CodeShape:
-    return a.shape
-
-
 def base_matrix(p: int, s: int) -> GeneratorMatrix:
     """The 2-row starting matrix with signature (1, 0, ..., 0, 1)."""
     sig = TypeSignature(p, s, (1,) + (0,) * (s - 2) + (1,))
@@ -174,8 +170,7 @@ def extend_with_row(a: GeneratorMatrix, i: int, cap: int | None = None) -> Gener
     shape = CodeShape(p, s, alphas)
     rows = np.hstack(new_blocks)
     out = GeneratorMatrix(shape, rows, new_sig)
-    new_row = out.row(num_rows)
-    assert order_of(new_row) == p ** (s - i + 1)
+    assert row_orders(rows[num_rows:], shape)[0] == p ** (s - i + 1)
     return out
 
 
@@ -195,7 +190,7 @@ def build(sig: TypeSignature, cap: int | None = None) -> GeneratorMatrix:
     for _ in range(sig.ts[-1] - 1):
         a = extend_with_row(a, sig.s, cap=cap)
     assert a.signature == sig
-    assert sorted(order_of(w) for w in a.row_vectors()) == sorted(sig.row_orders())
+    assert sorted(row_orders(a.rows, a.shape).tolist()) == sorted(sig.row_orders())
     return a
 
 

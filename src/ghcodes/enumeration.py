@@ -14,7 +14,7 @@ import numpy as np
 from .construction import GeneratorMatrix, size_cap
 from .errors import IntegrityError, ResourceLimitError
 from .gray import gray_rows
-from .ring import CodeShape, MixedVector, order_of
+from .ring import CodeShape, MixedVector, row_orders
 
 
 def packed_view(words: np.ndarray) -> np.ndarray:
@@ -88,22 +88,19 @@ def fold_dtype(shape: CodeShape) -> np.dtype:
     return np.dtype(np.uint16 if top <= np.iinfo(np.uint16).max else np.int64)
 
 
-def partial_span(a: GeneratorMatrix, row_indices) -> np.ndarray:
-    """Span of a subset of rows, enumerated by folding coefficient ranges.
+def partial_span(rows: np.ndarray, shape: CodeShape, counts) -> np.ndarray:
+    """All sums of c_k * row_k with 0 <= c_k < counts[k], by folding.
 
-    Row k contributes coefficients 0..order(row_k)-1; the last row's
-    coefficient varies fastest.
+    With counts the row orders this enumerates the span of free rows; the
+    first row's coefficient varies fastest.
     """
-    shape = a.shape
     mods = shape.column_moduli()
     fold = fold_dtype(shape)
     mods_fold = mods.astype(fold)
     words = np.zeros((1, shape.total_width), dtype=fold)
-    for k in row_indices:
-        row = a.rows[k]
-        o = order_of(a.row(k))
+    for row, count in zip(np.asarray(rows, dtype=np.int64), counts):
         pieces = []
-        for c in range(o):
+        for c in range(int(count)):
             mult = ((c * row) % mods).astype(fold)
             pieces.append((words + mult[None, :]) % mods_fold)
         words = np.vstack(pieces)
@@ -122,7 +119,7 @@ def span(a: GeneratorMatrix, cap: int | None = None) -> AdditiveCode:
         raise ResourceLimitError(
             f"span would have {predicted} codewords, cap {cap}"
         )
-    words = partial_span(a, range(a.rows.shape[0]))
+    words = partial_span(a.rows, a.shape, row_orders(a.rows, a.shape))
     if words.shape[0] != predicted:
         raise IntegrityError("coefficient enumeration does not match signature")
     if distinct_count(words) != predicted:

@@ -152,3 +152,28 @@ def shift_translates_to_all_ones(p: int, r: int) -> bool:
     t = phi_table(p, r).astype(np.int64)
     idx = (np.arange(p**r) + p ** (r - 1)) % p**r
     return bool(np.all(t[idx] == (t + 1) % p))
+
+
+@lru_cache(maxsize=None)
+def composition_lemma_holds(p: int, r: int) -> bool:
+    """Check, exhaustively on the (p, r) table, the two facts from which
+    phi(u) - phi(v) has the symbol composition of phi(u - v):
+
+    - digit-linearity, phi(u) = sum_i u_i phi(p^i) mod p, so that
+      phi(u) - phi(v) = phi(x) for x the digit-wise difference of u and v;
+    - phi(x) is the constant x_{r-1} when p^{r-1} divides x, and balanced
+      otherwise.  x and u - v are divisible by p^{r-1} together, and then
+      they are equal.
+    """
+    q, top = p**r, p ** (r - 1)
+    t = phi_table(p, r).astype(np.int64)
+    xs = np.arange(q)
+    digits = np.stack([(xs // p**i) % p for i in range(r)], axis=1)
+    if not np.array_equal(t, (digits @ t[p ** np.arange(r)]) % p):
+        return False
+    comp = np.bincount((xs[:, None] * p + t).ravel(), minlength=q * p).reshape(q, p)
+    expected = np.full((q, p), t.shape[1] // p)
+    const = xs % top == 0
+    expected[const] = 0
+    expected[const, xs[const] // top] = t.shape[1]
+    return bool(np.array_equal(comp, expected))

@@ -168,3 +168,12 @@ def order_of(v: MixedVector) -> int:
         for x in block:
             result = math.lcm(result, mod // math.gcd(x, mod))
     return result
+
+
+def row_orders(rows: np.ndarray, shape: CodeShape) -> np.ndarray:
+    """order_of for every row of a flat (m, total_width) array.
+
+    The per-entry orders are powers of p, so their lcm is their maximum.
+    """
+    mods = shape.column_moduli()
+    return (mods // np.gcd(np.asarray(rows, dtype=np.int64), mods)).max(axis=1)

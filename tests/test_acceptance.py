@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 The default verification grid is every signature with p in {2,3},
-s in {2,3}, t_1 >= 1, t_s >= 1, and |C| <= 2^16; quadratic (exhaustive)
-checks apply up to |C| <= 2^12, larger codes get exact cardinality and
-closure certificates plus sampled pair checks.  Run with -s to see the
-per-criterion lines.
+s in {2,3}, t_1 >= 1, t_s >= 1, and |C| <= 2^16.  Every code gets exact
+certificates (group order, closure, character sums for the GH property
+and the minimum distance, the coset rank for linearity); codes with
+|C| <= 2^12 are also cross-checked by brute force.  Run with -s to see
+the per-criterion lines.
 """
 
 import io

@@ -1,14 +1,31 @@
 """Structural invariants: distances, GH property, kernel, rank, replay."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghcodes import analysis
+from ghcodes.cli import GridSpec
 from ghcodes.construction import TypeSignature, build
-from ghcodes.enumeration import PAryCode, gray_image, order_p_subcode, span
-from ghcodes.errors import ResourceLimitError
+from ghcodes.enumeration import (
+    PAryCode,
+    additive_span_order,
+    gray_image,
+    order_p_subcode,
+    partial_span,
+    span,
+)
+from ghcodes.errors import IntegrityError, ResourceLimitError
+from ghcodes.gray import gray_rows
+from ghcodes.ring import CodeShape, row_orders
 from ghcodes.analysis import (
+    DEFAULT_QUAD_CAP,
     GFBasis,
+    character_sum_check,
+    coset_rank,
     expected_linear,
     gf_rank,
     hamming_distance,
@@ -233,6 +250,92 @@ def test_constructed_codes_are_gh(sig):
 
 
 # ---------------------------------------------------------------------------
+# certificates: character sums and the coset rank
+# ---------------------------------------------------------------------------
+
+CERTIFIED_SIGNATURES = list(GridSpec(max_size=DEFAULT_QUAD_CAP).signatures()) + [
+    TypeSignature(5, 2, (1, 1)),
+    TypeSignature(7, 2, (1, 1)),
+    TypeSignature(11, 2, (1, 1)),
+    TypeSignature(13, 2, (1, 1)),
+    TypeSignature(5, 3, (1, 0, 1)),
+    TypeSignature(3, 5, (1, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "sig", CERTIFIED_SIGNATURES, ids=lambda g: f"{g.p}-{g.s}-{'.'.join(map(str, g.ts))}"
+)
+def test_certificates_match_brute_force(sig):
+    a = build(sig)
+    gray = gray_of(sig)
+    scan = pair_scan(gray.words, sig.p, gray.length)
+    cert = character_sum_check(a.rows, a.shape)
+    assert cert.ok == scan.all_balanced_or_constant
+    assert cert.min_distance == scan.min_distance
+    assert coset_rank(a.rows, a.shape) == rank(gray)
+
+
+@st.composite
+def free_row_sets(draw):
+    """A small shape and rows over it, kept one by one while they stay free
+    (group order = product of the row orders)."""
+    p = draw(st.sampled_from([2, 3]))
+    s = draw(st.integers(1, 3))
+    alphas = draw(st.lists(st.integers(0, 3), min_size=s, max_size=s).filter(any))
+    shape = CodeShape(p, s, alphas)
+    mods = shape.column_moduli()
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = np.array([draw(st.integers(0, int(m) - 1)) for m in mods], dtype=np.int64)
+        trial = np.array(rows + [row])
+        orders = row_orders(trial, shape)
+        order = additive_span_order(SimpleNamespace(rows=trial, shape=shape))
+        if orders.min() > 1 and order == orders.prod() <= 729:
+            rows.append(row)
+    if not rows:  # the first row was zero: use the shape's first unit vector
+        rows.append((np.arange(shape.total_width) == 0).astype(np.int64))
+    return np.array(rows), shape
+
+
+@settings(max_examples=80, deadline=None)
+@given(free_row_sets())
+def test_certificates_match_brute_force_on_free_rows(rows_shape):
+    rows, shape = rows_shape
+    words = gray_rows(partial_span(rows, shape, row_orders(rows, shape)), shape)
+    scan = pair_scan(words, shape.p, shape.gray_length())
+    cert = character_sum_check(rows, shape)
+    assert cert.ok == scan.all_balanced_or_constant
+    assert cert.min_distance == scan.min_distance
+    assert coset_rank(rows, shape) == gf_rank(words, shape.p)
+
+
+def test_character_sum_check_names_a_witness():
+    # Z_3^2 with unit rows: only (1, 1) and (2, 2) are constant, and the
+    # first other nonzero codeword, coefficients (0, 1), is the witness
+    cert = character_sum_check(np.eye(2, dtype=np.int64), CodeShape(3, 1, (2,)))
+    assert (cert.ok, cert.min_distance, cert.witness) == (False, 1, (0, 1))
+
+
+def test_character_sum_check_rounds_and_guards_counts(monkeypatch):
+    a = build(TypeSignature(3, 2, (1, 2)))
+    exact = character_sum_check(a.rows, a.shape)
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda x, *args, **kw: fftn(x, *args, **kw) + 0.1)
+    assert character_sum_check(a.rows, a.shape) == exact
+    monkeypatch.setattr(np.fft, "fftn", lambda x, *args, **kw: fftn(x, *args, **kw) + 0.4)
+    with pytest.raises(IntegrityError):
+        character_sum_check(a.rows, a.shape)
+
+
+def test_character_sum_check_needs_the_composition_lemma(monkeypatch):
+    a = build(TypeSignature(2, 3, (1, 0, 1)))
+    monkeypatch.setattr(analysis, "composition_lemma_holds", lambda p, r: r != 2)
+    with pytest.raises(IntegrityError):
+        character_sum_check(a.rows, a.shape)
+
+
+# ---------------------------------------------------------------------------
 # rank and linearity
 # ---------------------------------------------------------------------------
 
@@ -258,6 +361,12 @@ def test_gf_rank_early_exit():
     m = rng.integers(0, 3, size=(40, 30)).astype(np.uint8)
     full = gf_rank(m, 3)
     assert gf_rank(m, 3, stop_above=5) >= min(full, 6)
+
+
+def test_gf_rank_large_prime_products_do_not_wrap():
+    # 190 * 190 overflows int16; the rows are dependent since 190 = -1 mod 191
+    assert gf_rank(np.array([[1, 190], [190, 1]], dtype=np.uint8), 191) == 1
+    assert gf_rank(np.array([[1, 190], [189, 1]], dtype=np.uint8), 191) == 2
 
 
 def test_gfbasis_incremental_matches_batch():
@@ -368,7 +477,8 @@ def test_verify_theorems_byte_edge_signature():
 
 def test_verify_theorems_large_code_path():
     r = verify_theorems(TypeSignature(3, 2, (1, 6)), quad_cap=2**12)
-    assert r.size == 3**8 and r.min_distance_method == "sampled"
+    assert r.size == 3**8 and r.min_distance_method == "character-sum"
+    assert r.rank_method == "exact"
     assert r.ok and not r.is_linear and r.kernel_dim == 7
     assert any("kernel_theorem" in s for s in r.skipped)
 

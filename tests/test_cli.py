@@ -145,6 +145,21 @@ def test_analyze_json(capsys):
     assert doc["ok"] and doc["is_linear"] and doc["kernel_dim"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "-p", "3", "-s", "2", "-t", "1,1", "--pairs", "1000"],
+        ["grid", "--primes", "3", "--s-values", "2", "--pairs", "1000"],
+    ],
+)
+def test_pairs_option_is_a_usage_error(capsys, argv):
+    # every check is exact, so there is no sample size to choose
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--pairs" in capsys.readouterr().err
+
+
 def test_analyze_kernel_modes_identical(capsys):
     _, brute, _ = run(
         capsys, "analyze", "-p", "2", "-s", "3", "-t", "2,0,1",
@@ -172,6 +187,7 @@ def test_grid_small_with_outputs(tmp_path, capsys):
     assert code == 0
     assert "summary:" in out and "FAIL" not in out
     doc = json.loads(out_json.read_text())
+    assert sorted(doc["grid"]) == ["max_size", "primes", "quad_cap", "s_values", "seed"]
     assert doc["summary"]["failed"] == 0
     assert all(r["ok"] for r in doc["results"])
     rows = list(csv.DictReader(out_csv.read_text().splitlines()))

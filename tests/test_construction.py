@@ -9,11 +9,11 @@ from ghcodes.construction import (
     build,
     extend_with_row,
     parse_text,
-    shape_of,
     to_text,
 )
 from ghcodes.errors import ResourceLimitError
-from ghcodes.ring import order_of
+from ghcodes.cli import GridSpec
+from ghcodes.ring import order_of, row_orders
 
 # Hand-checked worked examples; the text dumps below must match
 # byte-for-byte, column order included.
@@ -65,14 +65,14 @@ def test_signature_size_and_orders():
 def test_base_matrix_2_3():
     a = base_matrix(2, 3)
     assert to_text(a) == TEXT_2_3_101
-    assert shape_of(a).alphas == (2, 1, 1)
+    assert a.shape.alphas == (2, 1, 1)
 
 
 def test_base_matrix_3_2():
     a = base_matrix(3, 2)
     assert a.rows.tolist() == [[1, 1, 1, 3, 3], [0, 1, 2, 1, 2]]
     assert [order_of(w) for w in a.row_vectors()] == [3, 9]
-    assert shape_of(a).alphas == (3, 2)
+    assert a.shape.alphas == (3, 2)
 
 
 def test_base_matrix_2_2():
@@ -112,7 +112,7 @@ def test_extend_i2_block_layout():
 def test_extend_is_duplicates_every_block():
     a = extend_with_row(base_matrix(2, 3), 3)
     assert a.signature.ts == (1, 0, 2)
-    assert shape_of(a).alphas == (4, 2, 2)
+    assert a.shape.alphas == (4, 2, 2)
     base = base_matrix(2, 3)
     for i, reps in ((1, 2), (2, 2), (3, 2)):
         old = base.block(i)
@@ -162,7 +162,7 @@ def test_build_row_order_multiset(sig):
     got = sorted(order_of(w) for w in a.row_vectors())
     assert got == sorted(sig.row_orders())
     # Gray length n = |C| / p
-    assert shape_of(a).gray_length() == sig.code_size() // sig.p
+    assert a.shape.gray_length() == sig.code_size() // sig.p
 
 
 def test_build_deterministic():
@@ -176,9 +176,16 @@ def test_build_resource_cap():
 
 
 def test_shape_of_examples():
-    assert shape_of(build(TypeSignature(2, 3, (1, 0, 1)))).alphas == (2, 1, 1)
-    assert shape_of(build(TypeSignature(2, 3, (2, 0, 1)))).alphas == (4, 6, 12)
-    assert shape_of(build(TypeSignature(3, 2, (1, 1)))).alphas == (3, 2)
+    assert build(TypeSignature(2, 3, (1, 0, 1))).shape.alphas == (2, 1, 1)
+    assert build(TypeSignature(2, 3, (2, 0, 1))).shape.alphas == (4, 6, 12)
+    assert build(TypeSignature(3, 2, (1, 1))).shape.alphas == (3, 2)
+
+
+def test_row_orders_match_order_of_on_the_grid():
+    for sig in GridSpec().signatures():
+        a = build(sig)
+        expected = [order_of(w) for w in a.row_vectors()]
+        assert row_orders(a.rows, a.shape).tolist() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghcodes import gray
 from ghcodes.errors import ResourceLimitError
 from ghcodes.gray import (
+    composition_lemma_holds,
     gray_rows,
     mixed_gray,
     phi,
@@ -109,6 +111,36 @@ def test_digit_linearity_exhaustive(p, r):
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
 def test_shift_translates_to_all_ones(p, r):
     assert shift_translates_to_all_ones(p, r)
+
+
+def composition(word, p):
+    return [int(np.count_nonzero(np.asarray(word) == v)) for v in range(p)]
+
+
+@pytest.mark.parametrize(
+    "p,r",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2)],
+)
+def test_composition_lemma_exhaustive(p, r):
+    """phi(u) - phi(v) has the symbol composition of phi(u - v), for every
+    pair, by the reference formula; and the table check agrees."""
+    q = p**r
+    images = [np.asarray(reference_phi(u, p, r)) for u in range(q)]
+    for u in range(q):
+        for v in range(q):
+            assert composition((images[u] - images[v]) % p, p) == composition(
+                images[(u - v) % q], p
+            )
+    assert composition_lemma_holds(p, r)
+
+
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (3, 5), (13, 2)])
+def test_composition_lemma_check_rejects_broken_tables(monkeypatch, p, r):
+    assert composition_lemma_holds(p, r)
+    table = gray.phi_table(p, r).copy()
+    table[1, 0] = (table[1, 0] + 1) % p  # one symbol of phi(1)
+    monkeypatch.setattr(gray, "phi_table", lambda p_, r_: table)
+    assert not composition_lemma_holds.__wrapped__(p, r)
 
 
 # ---------------------------------------------------------------------------
