@@ -8,7 +8,9 @@ decomposition C = R + H_p.  Codes within the quad cap (|C| <= 4096 by
 default) are also enumerated and cross-checked by brute force: one exact
 pair scan per code (p = 2 XORs bit-packed rows, p > 2 counts each
 difference symbol as tiled one-hot float32 products), rank by elimination
-over every codeword, and the definitional kernel.
+over every codeword, and the definitional kernel, found without any
+elimination: each candidate is either verified, when its translate of C
+lies in C, or ruled out with every other candidate its witness excludes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .enumeration import (
     span,
 )
 from .errors import IntegrityError, ResourceLimitError
-from .gray import composition_lemma_holds, gray_rows, shift_translates_to_all_ones
+from .gray import composition_lemma_holds, gray_rows
 from .ring import CodeShape, row_orders
 
 DEFAULT_QUAD_CAP = 2**12
@@ -273,10 +275,12 @@ def character_sum_check(rows: np.ndarray, shape: CodeShape) -> GHCertificate:
 def all_ones_closure_check(a: GeneratorMatrix) -> bool:
     """Exact closure of the Gray image under +1, without enumeration.
 
-    Verified facts: the first generator row Gray-maps to the all-one
-    vector, and adding p^{r-1} to any Z_{p^r} coordinate adds 1 to every
-    Gray digit (checked exhaustively on the per-(p, r) tables).  Together
-    these give Phi(C) + 1 = Phi(C + w_1) = Phi(C).
+    Verified facts: the first generator row is p^{r-1} in every Z_{p^r}
+    coordinate and Gray-maps to the all-one vector, and every per-(p, r)
+    table is digit-linear (composition_lemma_holds).  Adding p^{r-1} adds
+    one to the top digit only, so digit-linearity gives phi(u + p^{r-1}) =
+    phi(u) + phi(p^{r-1}) = phi(u) + 1, and Phi(C) + 1 = Phi(C + w_1) =
+    Phi(C).
     """
     shape = a.shape
     first = a.rows[0]
@@ -284,7 +288,7 @@ def all_ones_closure_check(a: GeneratorMatrix) -> bool:
         return False
     if not np.all(gray_rows(first[None, :], shape) == 1):
         return False
-    return all(shift_translates_to_all_ones(shape.p, r) for r in range(1, shape.s + 1))
+    return all(composition_lemma_holds(shape.p, r) for r in range(1, shape.s + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +439,24 @@ def gf_span_words(vectors: np.ndarray, p: int) -> np.ndarray:
     return np.unique(packed_view(words)).view(np.uint8).reshape(-1, vectors.shape[1])
 
 
-def kernel(
-    c: PAryCode,
-    cap: int = DEFAULT_QUAD_CAP,
-    probes: int = 24,
-    seed: int = 0,
-) -> PAryCode:
+def _translate(words: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """words + x mod p, row by row, as uint8.  A sum s below 2p reduces to
+    min(s, s - p), because s - p wraps around when s < p."""
+    s = np.add(words, x, dtype=np.uint8 if p <= 128 else np.uint16)
+    return np.minimum(s, s - p).astype(np.uint8, copy=False)
+
+
+def kernel(c: PAryCode, cap: int = DEFAULT_QUAD_CAP, seed: int = 0) -> PAryCode:
     """Definitional kernel: { x in C : x + C = C }.
 
-    Candidates outside the kernel are discarded by random translation
-    probes (each rejection carries an explicit witness); the survivors'
-    GF(p) basis is then verified in full, which certifies the whole
-    span because the kernel is closed under addition.
+    Every nonzero word is a candidate, tried in an order drawn from seed,
+    and each candidate x still alive is decided by one membership pass
+    over x + C.  If x + C lies in C, x joins the basis and every word of
+    the basis's span stops being a candidate.  Otherwise the first c with
+    x + c outside C is a witness, and it rules out every candidate a with
+    a + c outside C: x among them, and never a kernel word, since a in K
+    and c in C give a + c in C.  When no candidate is left, the kernel is
+    exactly the span of the basis, whatever the seed.
     """
     if len(c) > cap:
         raise ResourceLimitError(
@@ -454,42 +464,26 @@ def kernel(
         )
     w = c.words
     p, n = c.p, c.length
-    if not np.any(np.all(w == 0, axis=1)):
+    alive = np.any(w != 0, axis=1)
+    if alive.all():
         raise ValueError("kernel requires the zero word in C")
     members = c.sorted_packed()
-    rng = np.random.default_rng(seed)
-    alive = np.ones(len(c), dtype=bool)
-    for idx in rng.choice(len(c), size=min(probes, len(c)), replace=False):
-        rows = np.flatnonzero(alive)
-        sums = (w[rows].astype(np.uint16) + w[idx]) % p
-        alive[rows[~_contains(members, sums.astype(np.uint8))]] = False
-    survivors = w[alive]
-
-    while True:
-        dim = gf_rank(survivors, p)
-        basis_rows = []
-        basis = GFBasis(p, n)
-        for row in survivors:
-            before = basis.rank
-            basis.add_rows(row[None, :])
-            if basis.rank > before:
-                basis_rows.append(row)
-            if basis.rank == dim:
-                break
-        bad = None
-        for row in basis_rows:
-            sums = ((w.astype(np.uint16) + row) % p).astype(np.uint8)
-            if not _contains(members, sums).all():
-                bad = row
-                break
-        if bad is None:
-            break
-        # rare: a non-kernel word survived every probe; drop it and retry
-        survivors = survivors[
-            ~np.all(survivors == bad[None, :], axis=1)
-        ]
-    basis_arr = np.asarray(basis_rows, dtype=np.uint8).reshape(-1, n)
-    return PAryCode(p, n, gf_span_words(basis_arr, p))
+    basis = np.zeros((0, n), dtype=np.uint8)
+    kern = np.zeros((1, n), dtype=np.uint8)
+    for x in np.random.default_rng(seed).permutation(len(c)):
+        if not alive[x]:
+            continue
+        inside = _contains(members, _translate(w, w[x], p))
+        cand = np.flatnonzero(alive)
+        if inside.all():
+            basis = np.vstack([basis, w[x]])
+            kern = gf_span_words(basis, p)
+            drop = _contains(packed_view(kern), w[cand])
+        else:
+            witness = w[int(np.argmin(inside))]
+            drop = ~_contains(members, _translate(w[cand], witness, p))
+        alive[cand[drop]] = False
+    return PAryCode(p, n, kern)
 
 
 def expected_linear(sig: TypeSignature) -> bool:
@@ -601,7 +595,6 @@ class AnalysisReport:
 def verify_theorems(
     sig: TypeSignature,
     quad_cap: int = DEFAULT_QUAD_CAP,
-    kernel_mode: str = "auto",
     seed: int = 7,
     cap: int | None = None,
 ) -> AnalysisReport:
@@ -611,10 +604,8 @@ def verify_theorems(
 
     Every code gets the exact certificates; codes of at most quad_cap
     words are also enumerated and cross-checked by brute force, and seed
-    drives the brute-force kernel's probes.
+    sets the order in which the brute-force kernel tries its candidates.
     """
-    if kernel_mode not in ("auto", "brute", "basis"):
-        raise ValueError(f"unknown kernel mode {kernel_mode!r}")
     a = build(sig, cap=cap)
     shape = a.shape
     p = sig.p
@@ -701,37 +692,32 @@ def verify_theorems(
     check(
         "rank_cross_check", brute_r == r, f"elimination over C: {brute_r}, coset: {r}"
     )
-    kern = kernel(gray, cap=quad_cap, seed=seed) if kernel_mode != "basis" else None
-    if kernel_mode == "auto":
-        lin_kernel = len(kern) == len(gray)
-        check(
-            "linearity_cross_check",
-            lin == lin_kernel,
-            f"rank says {lin}, kernel says {lin_kernel}",
-        )
+    kern = kernel(gray, cap=quad_cap, seed=seed)
+    lin_kernel = len(kern) == len(gray)
+    check(
+        "linearity_cross_check",
+        lin == lin_kernel,
+        f"rank says {lin}, kernel says {lin_kernel}",
+    )
     if lin:
-        if kern is not None:
-            check(
-                "kernel_equals_code",
-                kern.same_set(gray),
-                "linear code must be its own kernel",
-            )
+        check(
+            "kernel_equals_code",
+            kern.same_set(gray),
+            "linear code must be its own kernel",
+        )
     else:
+        phi_hp = gray_image(order_p_subcode(code))
+        check(
+            "kernel_theorem",
+            kern.same_set(PAryCode(p, n, phi_hp.words)),
+            f"|K|={len(kern)}, |Phi(H_p)|={len(phi_hp)}",
+        )
         basis_span = PAryCode(p, n, gf_span_words(basis_vecs, p))
-        if kern is None:
-            kern = basis_span
-        else:
-            phi_hp = gray_image(order_p_subcode(code))
-            check(
-                "kernel_theorem",
-                kern.same_set(PAryCode(p, n, phi_hp.words)),
-                f"|K|={len(kern)}, |Phi(H_p)|={len(phi_hp)}",
-            )
-            check(
-                "kernel_basis_span",
-                basis_span.same_set(kern),
-                f"|span Phi(Q)|={len(basis_span)}, |K|={len(kern)}",
-            )
+        check(
+            "kernel_basis_span",
+            basis_span.same_set(kern),
+            f"|span Phi(Q)|={len(basis_span)}, |K|={len(kern)}",
+        )
         kdim = _log_p(len(kern), p)
         check(
             "kernel_dimension",
@@ -740,5 +726,5 @@ def verify_theorems(
         )
     return AnalysisReport(
         sig, shape, n, size, d, "exhaustive", is_gh, lin, kdim, r, "exact",
-        checks, skipped, None if kern is None else kern.words,
+        checks, skipped, kern.words,
     )

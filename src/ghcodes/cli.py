@@ -33,6 +33,8 @@ DEFAULT_GRID_CAP = 2**16
 
 
 def _parse_signature(args) -> TypeSignature:
+    if args.p is None:
+        raise ValueError("-t needs -p")
     ts = tuple(int(x) for x in args.t.split(","))
     if args.s is not None and args.s != len(ts):
         raise ValueError(f"-s {args.s} does not match {len(ts)} entries in -t")
@@ -80,8 +82,8 @@ def cmd_gray(args) -> int:
         shape = a.shape
         rows = a.rows
     elif args.vector:
-        if args.alpha is None:
-            raise ValueError("--vector needs --alpha (and -p, -s)")
+        if None in (args.alpha, args.p, args.s):
+            raise ValueError("--vector needs --alpha, -p and -s")
         alphas = tuple(int(x) for x in args.alpha.split(","))
         shape = CodeShape(args.p, args.s, alphas)
         blocks = [b.split() for b in args.vector.split("|")]
@@ -116,7 +118,6 @@ def cmd_analyze(args) -> int:
     report = verify_theorems(
         _parse_signature(args),
         quad_cap=args.quad_cap,
-        kernel_mode=args.kernel,
         seed=args.seed,
     )
     if args.json:
@@ -299,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = subs.add_parser("analyze", help="theorem-replay report for one signature")
     _add_signature_args(an)
-    an.add_argument("--kernel", choices=("auto", "brute", "basis"), default="auto")
     an.add_argument("--json", action="store_true")
     an.add_argument("--quad-cap", type=int, default=DEFAULT_QUAD_CAP)
     an.add_argument("--seed", type=int, default=7)
@@ -320,6 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_size", 1) < 1:
+        parser.error("--max-size must be positive")
+    if getattr(args, "quad_cap", 0) < 0:
+        parser.error("--quad-cap must be non-negative")
     try:
         return args.func(args)
     except ValueError as exc:

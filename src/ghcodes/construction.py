@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .ring import CodeShape, MixedVector, is_prime, row_orders
+from .ring import CodeShape, MixedVector, check_prime, row_orders
 
 DEFAULT_SIZE_CAP = 2**22
 
@@ -46,8 +46,7 @@ class TypeSignature:
     ts: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+        check_prime(self.p)
         if self.s < 2:
             raise ValueError(f"s must be >= 2, got {self.s}")
         object.__setattr__(self, "ts", tuple(int(t) for t in self.ts))

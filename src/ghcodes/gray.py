@@ -2,7 +2,7 @@
 
 phi maps Z_{p^r} to Z_p^{p^{r-1}} via a constant vector plus a row-vector
 product with the matrix whose columns are all of Z_p^{r-1} in ascending
-order.  mixed_gray assembles the block-wise map on the mixed alphabet.
+order.  gray_rows applies the block-wise map on the mixed alphabet.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError
-from .ring import CodeShape, MixedVector, is_prime
+from .ring import CodeShape, MixedVector, check_prime
 
 # p^{r-1} columns per Y matrix; beyond this the memoized tables get silly.
 DEFAULT_Y_CAP = 2**16
@@ -30,8 +30,7 @@ class YMatrix:
 
 
 def _check_pr(p: int, r: int):
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    check_prime(p)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
 
@@ -90,17 +89,6 @@ def phi_extended(v, p: int, r: int) -> np.ndarray:
     return phi_table(p, r)[v].reshape(-1)
 
 
-def mixed_gray(v: MixedVector) -> np.ndarray:
-    """The mixed-alphabet Gray map: block 1 verbatim, block i through phi_i."""
-    p = v.shape.p
-    parts = [np.asarray(v.blocks[0], dtype=np.uint8)]
-    for i, block in enumerate(v.blocks[1:], start=2):
-        parts.append(phi_extended(np.asarray(block, dtype=np.int64), p, i))
-    out = np.concatenate(parts)
-    assert out.size == v.shape.gray_length()
-    return out
-
-
 @lru_cache(maxsize=None)
 def _padded_phi_table(p: int, r: int) -> tuple[np.ndarray, int, int]:
     """phi table with rows padded to a power-of-two byte width and viewed
@@ -121,7 +109,8 @@ def _padded_phi_table(p: int, r: int) -> tuple[np.ndarray, int, int]:
 
 
 def gray_rows(words: np.ndarray, shape: CodeShape) -> np.ndarray:
-    """Vectorized mixed_gray over a (m, total_width) array of flat words."""
+    """The mixed-alphabet Gray map of every row of a (m, total_width) array
+    of flat words: block 1 verbatim, block i through phi_i."""
     words = np.asarray(words)
     m = words.shape[0]
     out = np.empty((m, shape.gray_length()), dtype=np.uint8)
@@ -147,11 +136,9 @@ def gray_rows(words: np.ndarray, shape: CodeShape) -> np.ndarray:
     return out
 
 
-def shift_translates_to_all_ones(p: int, r: int) -> bool:
-    """Check phi(u + p^{r-1}) = phi(u) + 1 exhaustively on the (p, r) table."""
-    t = phi_table(p, r).astype(np.int64)
-    idx = (np.arange(p**r) + p ** (r - 1)) % p**r
-    return bool(np.all(t[idx] == (t + 1) % p))
+def mixed_gray(v: MixedVector) -> np.ndarray:
+    """Gray image of one mixed-alphabet vector."""
+    return gray_rows(v.to_flat()[None, :], v.shape)[0]
 
 
 @lru_cache(maxsize=None)

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def check_prime(p: int) -> None:
+    """Admissible base primes: phi tables and Gray images hold one symbol
+    per uint8, so p must not exceed 255."""
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p={p} is not prime")
+    if p > 255:
+        raise ValueError(f"p={p} exceeds 255, the largest symbol a byte holds")
 
 
 def p_ary_expansion(u: int, p: int, r: int) -> list[int]:
@@ -55,8 +53,7 @@ class CodeShape:
     alphas: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+        check_prime(self.p)
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
         object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))

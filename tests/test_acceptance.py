@@ -62,13 +62,15 @@ def grid_run():
 
 @pytest.fixture(scope="module")
 def small_codes(grid_run):
-    """Materialized Gray images for every grid code within the quadratic cap."""
+    """Materialized Gray images and their brute-force kernels for every
+    grid code within the quadratic cap."""
     _, reports, _, _ = grid_run
     out = []
     for r in reports:
         if r.size <= QUAD_CAP:
             code = span(build(r.signature))
-            out.append((r.signature, code, gray_image(code)))
+            gray = gray_image(code)
+            out.append((r.signature, code, gray, kernel(gray, cap=QUAD_CAP)))
     return out
 
 
@@ -121,11 +123,10 @@ def test_criterion_3_linearity_classification(grid_run):
 
 def test_criterion_4_kernel_law(small_codes):
     checked, bad = 0, []
-    for sig, code, gray in small_codes:
+    for sig, code, _, k in small_codes:
         if expected_linear(sig):
             continue
         checked += 1
-        k = kernel(gray, cap=QUAD_CAP)
         if not k.same_set(gray_image(order_p_subcode(code))):
             bad.append(sig)
     assert report_line(
@@ -139,12 +140,11 @@ def test_criterion_4_kernel_law(small_codes):
 def test_criterion_5_kernel_basis_dimension(small_codes):
     checked, bad = 0, []
     spot = {}
-    for sig, _, gray in small_codes:
+    for sig, _, gray, k in small_codes:
         if expected_linear(sig):
             continue
         checked += 1
         vecs = kernel_basis(build(sig))
-        k = kernel(gray, cap=QUAD_CAP)
         spanned = PAryCode(sig.p, gray.length, gf_span_words(vecs, sig.p))
         independent = gf_rank(vecs, sig.p) == sig.num_rows
         dim_ok = len(k) == sig.p**sig.num_rows
@@ -193,9 +193,8 @@ def test_criterion_6_gray_map_ground_truth():
 def test_criterion_7_cross_implementation_agreement(small_codes):
     kernel_checked = agree_checked = 0
     bad = []
-    for sig, _, gray in small_codes:
+    for sig, _, gray, k in small_codes:
         agree_checked += 1
-        k = kernel(gray, cap=QUAD_CAP)
         lin_by_kernel = k.same_set(gray)
         lin_by_rank = is_linear(gray) and rank(gray) == sig.code_size_exponent()
         if lin_by_kernel != lin_by_rank:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghcodes import analysis
@@ -43,7 +43,7 @@ from ghcodes.analysis import (
 
 def reference_kernel(code: PAryCode) -> set:
     """Definitional kernel by the O(|C|^2) double loop, independent of the
-    probe-and-verify implementation."""
+    witness-driven implementation."""
     words = {tuple(w) for w in code.words.tolist()}
     out = set()
     for x in words:
@@ -408,6 +408,47 @@ def test_kernel_sizes_match_reference(sig, ksize):
     assert {tuple(w) for w in k.words.tolist()} == reference_kernel(gray)
 
 
+@st.composite
+def coset_unions(draw):
+    """C = span(V) + S over Z_p^n for a few random vectors V and a random
+    word set S holding zero, so that span(V) lies in the kernel."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 6))
+    word = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    vecs = np.array(draw(st.lists(word, min_size=1, max_size=2)), dtype=np.uint8)
+    extra = np.array(draw(st.lists(word, min_size=1, max_size=5)), dtype=np.uint8)
+    shifts = np.vstack([np.zeros((1, n), dtype=np.uint8), extra])
+    sub = gf_span_words(vecs, p)
+    words = (sub[:, None, :].astype(np.int64) + shifts[None, :, :]) % p
+    words = np.unique(words.reshape(-1, n).astype(np.uint8), axis=0)
+    return PAryCode(p, n, words)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coset_unions(), st.integers(0, 2**32 - 1))
+def test_kernel_matches_reference_on_word_sets(code, seed):
+    ref = reference_kernel(code)
+    # a nonzero kernel word is settled only by a verified candidate, and a
+    # word outside the kernel only by a witness: make both happen
+    assume(1 < len(ref) < len(code))
+    k = kernel(code, seed=seed)
+    assert {tuple(w) for w in k.words.tolist()} == ref
+    assert k.same_set(kernel(code, seed=0))
+
+
+def test_kernel_of_word_set_over_a_prime_above_128():
+    # C = span(v) + {0, u} has kernel span(v).  Every nonzero multiple of
+    # v = (1, ..., p-1) has an entry p-1, so each x + x sums past 255.
+    p = 131
+    sub = gf_span_words(np.arange(1, p, dtype=np.uint8)[None, :], p)
+    u = (np.arange(p - 1) == 0).astype(np.int64)
+    words = np.vstack([sub, (sub + u) % p]).astype(np.uint8)
+    code = PAryCode(p, p - 1, words)
+    k = kernel(code)
+    assert len(k) == p
+    assert {tuple(w) for w in k.words.tolist()} == reference_kernel(code)
+
+
 def test_kernel_requires_zero_word():
     words = np.array([[1, 1], [0, 1]], dtype=np.uint8)
     with pytest.raises(ValueError):
@@ -481,14 +522,6 @@ def test_verify_theorems_large_code_path():
     assert r.rank_method == "exact"
     assert r.ok and not r.is_linear and r.kernel_dim == 7
     assert any("kernel_theorem" in s for s in r.skipped)
-
-
-def test_verify_theorems_kernel_modes_agree():
-    sig = TypeSignature(2, 3, (2, 0, 1))
-    brute = verify_theorems(sig, kernel_mode="brute")
-    basis = verify_theorems(sig, kernel_mode="basis")
-    assert brute.ok and basis.ok
-    assert brute.to_json_dict()["kernel"] == basis.to_json_dict()["kernel"]
 
 
 def test_report_serialization_stable():

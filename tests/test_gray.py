@@ -13,7 +13,7 @@ from ghcodes.gray import (
     mixed_gray,
     phi,
     phi_extended,
-    shift_translates_to_all_ones,
+    phi_table,
     y_matrix,
 )
 from ghcodes.ring import CodeShape, MixedVector
@@ -82,6 +82,15 @@ def test_phi_matches_reference(p, r):
         assert phi(u, p, r).tolist() == reference_phi(u, p, r)
 
 
+def test_primes_above_255_are_rejected():
+    # phi tables hold one symbol per byte; 251 is the largest prime that fits
+    assert phi(300, 251, 2).tolist() == reference_phi(300, 251, 2)
+    with pytest.raises(ValueError):
+        phi(300, 257, 2)
+    with pytest.raises(ValueError):
+        CodeShape(257, 2, (1, 1))
+
+
 def test_phi_out_of_range():
     with pytest.raises(ValueError):
         phi(8, 2, 3)
@@ -110,7 +119,10 @@ def test_digit_linearity_exhaustive(p, r):
 
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
 def test_shift_translates_to_all_ones(p, r):
-    assert shift_translates_to_all_ones(p, r)
+    """phi(u + p^{r-1}) = phi(u) + 1 for every u, on the table itself."""
+    t = phi_table(p, r).astype(np.int64)
+    shifted = t[(np.arange(p**r) + p ** (r - 1)) % p**r]
+    assert np.array_equal(shifted, (t + 1) % p)
 
 
 def composition(word, p):
@@ -186,4 +198,8 @@ def test_gray_rows_matches_mixed_gray(shape, data):
     batched = gray_rows(flat, shape)
     assert batched.shape == (m, shape.gray_length())
     for img, v in zip(batched, rows):
-        assert img.tolist() == mixed_gray(v).tolist()
+        expected = list(v.blocks[0])
+        for i, block in enumerate(v.blocks[1:], start=2):
+            for u in block:
+                expected += reference_phi(u, shape.p, i)
+        assert img.tolist() == mixed_gray(v).tolist() == expected
