@@ -6,11 +6,12 @@ character sums over the coefficient group (every codeword's Gray
 composition at once), and the rank of the Gray image from the coset
 decomposition C = R + H_p.  Codes within the quad cap (|C| <= 4096 by
 default) are also enumerated and cross-checked by brute force: one exact
-pair scan per code (p = 2 XORs bit-packed rows, p > 2 counts each
-difference symbol as tiled one-hot float32 products), rank by elimination
-over every codeword, and the definitional kernel, found without any
-elimination: each candidate is either verified, when its translate of C
-lies in C, or ruled out with every other candidate its witness excludes.
+pair scan per code, which counts each difference symbol by tiled float32
+products (a +-1 Gram matrix for p = 2, one-hot products for p > 2), rank
+by elimination over every codeword, and the definitional kernel, found
+without any elimination: each candidate is either verified, when its
+translate of C lies in C, or ruled out with every other candidate its
+witness excludes.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ def _pack_bits_u64(words: np.ndarray) -> np.ndarray:
     return pk.view(np.uint64)
 
 
-# Bytes of one float32 one-hot right operand in the p > 2 product kernel;
-# the left operand, which holds each symbol twice, stays under twice this.
-# The kernel holds one left and one right operand and one tile of counts
-# at a time, so it never builds the one-hot of a whole code.
+# Bytes of one float32 right operand in the product scan: n signs for
+# p = 2, n*p one-hot entries for p > 2.  The p > 2 left operand, which
+# holds each symbol twice, stays under twice this.  The scan holds one
+# left and one right operand and one tile of counts at a time, so it never
+# encodes a whole code.
 _ONEHOT_TILE_BYTES = 1 << 20
 
 
@@ -81,63 +83,58 @@ def pair_scan(words: np.ndarray, p: int, n: int) -> PairScanResult:
     distance.  Rows must be distinct.  The witness is the first offending
     pair (i, j), i < j, in row-major order.
 
-    p = 2 XORs bit-packed rows.  p > 2 counts, for every pair and every
-    d, the columns where the difference equals d, as one-hot float32
-    products.
+    The counts C_d[i, j] = #{k : w_ik - w_jk = d}, d = 1..p-1, come from
+    tiled float32 products: for p = 2 the Gram matrix of the signs
+    1 - 2w, whose entry s_i . s_j is n - 2 C_1; for p > 2 products of
+    one-hot rows.
     """
     m = words.shape[0]
     if m < 2:
         return PairScanResult(None, True, None, 0)
-    min_d, witness = (_scan_gf2 if p == 2 else _scan_onehot)(words, p, n)
+    min_d, witness = _scan_products(words, p, n)
     return PairScanResult(min_d, witness is None, witness, m * (m - 1) // 2)
 
 
-def _scan_gf2(words: np.ndarray, p: int, n: int):
-    lam = n // 2
-    min_d, witness = n + 1, None
-    pk = _pack_bits_u64(words)
-    for i in range(words.shape[0] - 1):
-        w = np.bitwise_count(pk[i + 1 :] ^ pk[i]).sum(axis=1, dtype=np.int64)
-        min_d = min(min_d, int(w.min()))
-        bad = (w != lam) & (w != n)
-        if witness is None and bad.any():
-            witness = (i, i + 1 + int(np.argmax(bad)))
-    return min_d, witness
-
-
-def _onehot(block: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Symbol-major float32 one-hot: out[i, a*n + k] = [block[i, k] == symbols[a]]."""
+def _encode(block: np.ndarray, p: int, left: bool) -> np.ndarray:
+    """Float32 operand of a row block: the signs 1 - 2w for p = 2; for
+    p > 2 the symbol-major one-hot out[i, a*n + k] = [block[i, k] == a],
+    over the symbols 0..p-1 twice on the left (see _scan_products)."""
+    if p == 2:
+        return 1 - 2 * block.astype(np.float32)
+    # reduced in int64, so nothing wraps however large p is
+    symbols = np.arange(2 * p - 1 if left else p) % p
     eq = block[:, None, :] == symbols[:, None]
     return eq.astype(np.float32).reshape(block.shape[0], -1)
 
 
-def _scan_onehot(words: np.ndarray, p: int, n: int):
-    """C_d[i, j] = #{k : w_ik - w_jk = d} as onehot(w_i - d) . onehot(w_j),
-    computed tile by tile over row blocks, for j > i only."""
+def _scan_products(words: np.ndarray, p: int, n: int):
+    """Every C_d[i, j] for j > i, tile by tile over row blocks."""
+    # counts and |s_i . s_j| are at most n
     if n >= 1 << 24:
         raise ValueError("float32 counts are exact only below 2^24")
     m = words.shape[0]
     lam = n // p
-    width = n * p
-    # The left operand holds symbols 0..p-1 twice over, so that columns
-    # d*n .. (d+p)*n of it are onehot(w_i - d): each shift is a strided
-    # view that BLAS reads in place.  The symbols are reduced in int64,
-    # so nothing wraps however large p is.
-    twice = np.arange(2 * p - 1) % p
+    width = n if p == 2 else n * p
     # Bounding the rows by 512 also keeps a tile of counts within the budget.
     rows = max(1, _ONEHOT_TILE_BYTES // (4 * max(width, 512)))
     min_d, witness = n + 1, None
     for i0 in range(0, m - 1, rows):
-        left = _onehot(words[i0 : i0 + rows], twice)
+        left = _encode(words[i0 : i0 + rows], p, left=True)
         first_bad = None  # row-major first offending pair in this row block
         for j0 in range(i0, m, rows):
-            right = _onehot(words[j0 : j0 + rows], twice[:p]).T
+            right = _encode(words[j0 : j0 + rows], p, left=False).T
             shape = (left.shape[0], right.shape[1])
             dist = np.zeros(shape, dtype=np.float32)
             balanced = np.ones(shape, dtype=bool)
             constant = np.zeros(shape, dtype=bool)
-            for d in range(1, p):
-                c_d = left[:, d * n : d * n + width] @ right
+            # For p > 2, columns d*n .. (d+p)*n of the left operand are
+            # onehot(w_i - d): each shift is a strided view that BLAS reads
+            # in place.  For p = 2, s_i . s_j = n - 2 C_1.
+            if p == 2:
+                counts = [(n - left @ right) / 2]
+            else:
+                counts = (left[:, d * n : (d + p) * n] @ right for d in range(1, p))
+            for c_d in counts:
                 dist += c_d
                 balanced &= c_d == lam
                 constant |= c_d == n
@@ -451,12 +448,12 @@ def kernel(c: PAryCode, cap: int = DEFAULT_QUAD_CAP, seed: int = 0) -> PAryCode:
 
     Every nonzero word is a candidate, tried in an order drawn from seed,
     and each candidate x still alive is decided by one membership pass
-    over x + C.  If x + C lies in C, x joins the basis and every word of
-    the basis's span stops being a candidate.  Otherwise the first c with
+    over x + C.  If x + C lies in C, the verified span grows by x, and
+    every word of it stops being a candidate.  Otherwise the first c with
     x + c outside C is a witness, and it rules out every candidate a with
     a + c outside C: x among them, and never a kernel word, since a in K
     and c in C give a + c in C.  When no candidate is left, the kernel is
-    exactly the span of the basis, whatever the seed.
+    exactly the verified span, whatever the seed.
     """
     if len(c) > cap:
         raise ResourceLimitError(
@@ -468,16 +465,19 @@ def kernel(c: PAryCode, cap: int = DEFAULT_QUAD_CAP, seed: int = 0) -> PAryCode:
     if alive.all():
         raise ValueError("kernel requires the zero word in C")
     members = c.sorted_packed()
-    basis = np.zeros((0, n), dtype=np.uint8)
-    kern = np.zeros((1, n), dtype=np.uint8)
+    kern = np.zeros((1, n), dtype=np.uint8)  # sorted by packed_view
     for x in np.random.default_rng(seed).permutation(len(c)):
         if not alive[x]:
             continue
         inside = _contains(members, _translate(w, w[x], p))
         cand = np.flatnonzero(alive)
         if inside.all():
-            basis = np.vstack([basis, w[x]])
-            kern = gf_span_words(basis, p)
+            # x, still a candidate, lies outside the verified span S, so
+            # the new span is the disjoint union of the S + c x, c < p
+            pieces = [kern]
+            for _ in range(p - 1):
+                pieces.append(_translate(pieces[-1], w[x], p))
+            kern = np.sort(packed_view(np.vstack(pieces))).view(np.uint8).reshape(-1, n)
             drop = _contains(packed_view(kern), w[cand])
         else:
             witness = w[int(np.argmin(inside))]

@@ -148,9 +148,9 @@ def test_pair_scan_matches_reference(p, wide):
 
 
 @pytest.mark.parametrize("tile_rows", [1, 3])
-@pytest.mark.parametrize("p", [3, 5, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_pair_scan_tile_edges(monkeypatch, p, tile_rows):
-    # narrow rows, so the one-hot product kernel runs in many small tiles
+    # narrow rows, so the product scan runs in many small tiles
     monkeypatch.setattr(analysis, "_ONEHOT_TILE_BYTES", tile_rows * 4 * 512)
     for seed in range(2):
         for words in scan_inputs(p, False, seed):
@@ -158,15 +158,16 @@ def test_pair_scan_tile_edges(monkeypatch, p, tile_rows):
 
 
 def test_pair_scan_product_kernel_refuses_inexact_widths():
-    # float32 sums of 0/1 terms are exact only below 2^24
-    with pytest.raises(ValueError):
-        analysis._scan_onehot(np.zeros((2, 3), dtype=np.uint8), 3, 1 << 24)
+    # float32 sums of 0/1 and +-1 terms are exact only below 2^24
+    for p in (2, 3):
+        with pytest.raises(ValueError):
+            analysis._scan_products(np.zeros((2, 3), dtype=np.uint8), p, 1 << 24)
 
 
 def test_pair_scan_witness_is_row_major_across_tiles(monkeypatch):
     # With 3-row tiles, the offending pair (2, 3) lies in an earlier column
     # tile than (1, 6), which comes first in row-major order.
-    words = np.array(
+    ternary = np.array(
         [
             [0, 0, 0, 0, 0, 0], [2, 1, 0, 2, 0, 1], [1, 2, 1, 2, 0, 0],
             [1, 0, 1, 2, 0, 2], [2, 0, 2, 0, 1, 1], [1, 0, 0, 2, 1, 2],
@@ -174,8 +175,22 @@ def test_pair_scan_witness_is_row_major_across_tiles(monkeypatch):
         ],
         dtype=np.uint8,
     )
+    # The same layout for the sign Gram matrix.  Rows 3 and 6 are words of
+    # the first-order Reed-Muller code of length 8 with two bits flipped,
+    # the others are words of it, and (2, 3) is at distance 6.
+    binary = np.array(
+        [
+            [0, 0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1, 0],
+            [1, 0, 0, 1, 1, 0, 0, 1], [1, 1, 1, 1, 0, 1, 1, 0],
+            [1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0, 0, 0],
+            [0, 1, 0, 1, 1, 1, 1, 1],
+        ],
+        dtype=np.uint8,
+    )
+    assert hamming_distance(binary[2], binary[3]) == 6
     monkeypatch.setattr(analysis, "_ONEHOT_TILE_BYTES", 3 * 4 * 512)
-    assert check_scan(words, 3).witness == (1, 6)
+    assert check_scan(ternary, 3).witness == (1, 6)
+    assert check_scan(binary, 2).witness == (1, 6)
 
 
 def test_verify_theorems_scans_each_code_once(monkeypatch):
