@@ -184,7 +184,7 @@ def is_gh_code(c: PAryCode) -> GHCheckResult:
         return GHCheckResult(False, "zero word missing")
     if len(c) != p * n:
         return GHCheckResult(False, f"|C|={len(c)} != p*n={p * n}")
-    shifted = PAryCode(p, n, (w.astype(np.uint16) + 1).astype(np.uint8) % p)
+    shifted = PAryCode(p, n, _translate(w, np.ones(n, dtype=np.uint8), p))
     if not shifted.same_set(c):
         return GHCheckResult(False, "not closed under adding the all-one vector")
     scan = pair_scan(w, p, n)
@@ -215,6 +215,37 @@ def _exact_counts(x: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+# Largest product of consecutive axes that _group_dft applies as one dense
+# Kronecker matrix; a lone axis above it goes through np.fft.fft.
+_DFT_CHUNK = 128
+
+
+def _dft_matrix(o: int) -> np.ndarray:
+    return np.exp(-2j * np.pi * (np.outer(np.arange(o), np.arange(o)) % o) / o)
+
+
+def _group_dft(x: np.ndarray) -> np.ndarray:
+    """np.fft.fftn(x), for the many tiny axes of a coefficient group.
+
+    Chunks of consecutive axes, taken from the last, are each one matmul
+    by the Kronecker product of their DFT matrices; transposing the result
+    moves the chunk to the front, so the axes are back in order at the end.
+    """
+    out, rest = x.astype(complex), list(x.shape)
+    while rest:
+        o = rest.pop()
+        if o > _DFT_CHUNK:
+            flat = np.fft.fft(out.reshape(-1, o), axis=1)
+        else:
+            f = _dft_matrix(o)
+            while rest and len(f) * rest[-1] <= _DFT_CHUNK:
+                o = rest.pop()  # f becomes the Kronecker product F_o x f
+                f = (_dft_matrix(o)[:, None, :, None] * f[:, None, :]).reshape(o * len(f), -1)
+            flat = out.reshape(-1, len(f)) @ f.T
+        out = np.ascontiguousarray(flat.T)
+    return out.reshape(x.shape)
+
+
 def character_sum_check(rows: np.ndarray, shape: CodeShape) -> GHCertificate:
     """Exact GH verdict and minimum distance of the Gray image of the span
     of free rows, without enumerating the span.
@@ -224,12 +255,13 @@ def character_sum_check(rows: np.ndarray, shape: CodeShape) -> GHCertificate:
     every nonzero codeword's Gray image is balanced or constant, and d is
     their least weight.  A Z_{p^i} entry Gray-maps to the constant v when
     it equals p^{i-1} v and to a balanced block otherwise.  With y_j in G,
-    y_kj = w_kj * o_k / p^i, and S = conj(fftn(histogram of y_j)),
+    y_kj = w_kj * o_k / p^i, and S = conj(_group_dft(histogram of y_j)),
     S(a) = sum_j zeta_{p^i}^{c_j(a)} over the block's columns, and
 
         #{j : c_j(a) = p^{i-1} v} = p^-i sum_{m in Z_{p^i}} zeta_p^{-mv} S(m a).
 
-    The rows must be free (|G| = |span|), which the caller certifies.
+    S(m a) for every a is one take at the flat index of m a.  The rows must
+    be free (|G| = |span|), which the caller certifies.
     """
     p = shape.p
     rows = np.asarray(rows, dtype=np.int64)
@@ -248,12 +280,16 @@ def character_sum_check(rows: np.ndarray, shape: CodeShape) -> GHCertificate:
         q = p**i
         y = (block * o[:, None] // q) % o[:, None]
         hist = np.bincount(np.ravel_multi_index(tuple(y), axes), minlength=size)
-        chars = np.conj(np.fft.fftn(hist.reshape(axes)))
+        chars = np.conj(_group_dft(hist.reshape(axes))).ravel()
         # by_residue[t] = sum of S(m a) over the m = t mod p
-        by_residue = np.zeros((p,) + axes, dtype=complex)
+        by_residue = np.zeros((p, size), dtype=complex)
         for m in range(q):
-            by_residue[m % p] += chars[np.ix_(*[(m * np.arange(x)) % x for x in axes])]
-        const = _exact_counts(np.fft.fft(by_residue, axis=0).reshape(p, size) / q)
+            flat, stride = np.zeros(1, dtype=np.int64), 1
+            for x in reversed(axes):  # last axis first, so numpy's inner loop is long
+                flat = (((m * np.arange(x)) % x * stride)[:, None] + flat).ravel()
+                stride *= x
+            by_residue[m % p] += chars.take(flat)
+        const = _exact_counts(_dft_matrix(p) @ by_residue / q)
         comp += p ** (i - 1) * const
         if i >= 2:
             comp += p ** (i - 2) * (alpha - const.sum(axis=0))

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import DEFAULT_QUAD_CAP, AnalysisReport, verify_theorems
-from .construction import (
-    GeneratorMatrix,
-    TypeSignature,
-    build,
-    parse_text,
-    to_text,
-)
+from .construction import GeneratorMatrix, TypeSignature, build, parse_text, to_text
 from .enumeration import span
 from .errors import IntegrityError, ResourceLimitError
 from .gray import gray_rows, mixed_gray
@@ -73,14 +67,8 @@ def _digit_string(row) -> str:
 
 
 def cmd_gray(args) -> int:
-    if args.matrix:
-        a = _load_matrix(args.matrix)
-        shape = a.shape
-        rows = a.rows
-    elif args.t:
-        a = build(_parse_signature(args))
-        shape = a.shape
-        rows = a.rows
+    if args.matrix or args.t:
+        a = _load_matrix(args.matrix) if args.matrix else build(_parse_signature(args))
     elif args.vector:
         if None in (args.alpha, args.p, args.s):
             raise ValueError("--vector needs --alpha, -p and -s")
@@ -92,7 +80,7 @@ def cmd_gray(args) -> int:
         return 0
     else:
         raise ValueError("give --matrix, -t, or --vector")
-    for img in gray_rows(rows, shape):
+    for img in gray_rows(a.rows, a.shape):
         print(_digit_string(img))
     return 0
 
@@ -115,11 +103,7 @@ def cmd_span(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    report = verify_theorems(
-        _parse_signature(args),
-        quad_cap=args.quad_cap,
-        seed=args.seed,
-    )
+    report = verify_theorems(_parse_signature(args), args.quad_cap, args.seed)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -174,22 +158,12 @@ def _format_signature(sig: TypeSignature) -> str:
 def _csv_rows(reports: list[AnalysisReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        ["signature", "n", "size", "d", "is_gh", "is_linear", "ker", "rank"]
+    writer.writerow(["signature", "n", "size", "d", "is_gh", "is_linear", "ker", "rank"])
+    writer.writerows(
+        [_format_signature(r.signature), r.n, r.size, r.min_distance, r.is_gh,
+         r.is_linear, r.kernel_dim, r.rank]
+        for r in reports
     )
-    for r in reports:
-        writer.writerow(
-            [
-                _format_signature(r.signature),
-                r.n,
-                r.size,
-                r.min_distance,
-                r.is_gh,
-                r.is_linear,
-                r.kernel_dim,
-                r.rank,
-            ]
-        )
     return buf.getvalue()
 
 
@@ -204,12 +178,7 @@ def run_grid(spec: GridSpec, out=sys.stdout) -> tuple[list[AnalysisReport], int]
     reports = []
     failed = 0
     for sig in spec.signatures():
-        report = verify_theorems(
-            sig,
-            quad_cap=spec.quad_cap,
-            seed=spec.seed,
-            cap=spec.max_size,
-        )
+        report = verify_theorems(sig, spec.quad_cap, spec.seed, cap=spec.max_size)
         reports.append(report)
         status = "PASS" if report.ok else "FAIL"
         if not report.ok:

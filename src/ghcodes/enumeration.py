@@ -133,42 +133,31 @@ def additive_span_order(a: GeneratorMatrix) -> int:
     """Exact order of the group generated by the rows, without enumeration.
 
     The mixed alphabet embeds into Z_{p^s}^w by scaling block i entries by
-    p^{s-i}; the order then falls out of a valuation-pivoted echelon form
-    over Z_{p^s}.
+    p^{s-i}.  A valuation-pivoted echelon form over Z_{p^s}, on one int64
+    matrix, then splits off one cyclic summand per pivot: gcd(x, p^s) =
+    p^v(x), p^s for a zero entry, finds the row-major first entry of least
+    valuation v, whose row adds a summand of order p^{s-v}, and one
+    broadcast clears its column in every other row.  Uses neither span
+    nor GFBasis.
     """
     shape = a.shape
-    p, s = shape.p, shape.s
-    ps = p**s
-    scale = ps // shape.column_moduli()
-    work = [[int(x) for x in (row * scale) % ps] for row in a.rows.astype(np.int64)]
+    ps = shape.p**shape.s
+    # the broadcast products reach (p^s - 1)^2
+    if (ps - 1) ** 2 > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"p^s = {ps} is too large for an int64 echelon")
+    work = np.asarray(a.rows, dtype=np.int64) * (ps // shape.column_moduli()) % ps
     order = 1
-    while work:
-        best = None  # (valuation, row_idx, col_idx)
-        for ri, row in enumerate(work):
-            for ci, x in enumerate(row):
-                if x == 0:
-                    continue
-                v = 0
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                if best is None or v < best[0]:
-                    best = (v, ri, ci)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
+    while work.shape[0]:
+        pows = np.gcd(work, ps)  # p^valuation, p^s for a zero entry
+        r, c = divmod(int(np.argmin(pows)), work.shape[1])
+        pv = int(pows[r, c])
+        if pv == ps:
             break
-        v, ri, ci = best
-        pivot_row = work.pop(ri)
-        unit = pivot_row[ci] // p**v
-        inv = pow(unit, -1, ps)
-        pivot_row = [(x * inv) % ps for x in pivot_row]
-        order *= p ** (s - v)
-        for row in work:
-            q = row[ci] // p**v
-            if q:
-                for j in range(len(row)):
-                    row[j] = (row[j] - q * pivot_row[j]) % ps
+        # scale the pivot entry to p^v itself
+        pivot = work[r] * pow(int(work[r, c]) // pv, -1, ps) % ps
+        order *= ps // pv
+        work = np.delete(work, r, axis=0)
+        work = (work - (work[:, c] // pv)[:, None] * pivot) % ps
     return order
 
 

@@ -222,6 +222,14 @@ def test_is_gh_code_cardinality_failure():
     assert "|C|" in result.failure
 
 
+@pytest.mark.parametrize("p", [3, 131])  # uint8 and uint16 sums in the +1 shift
+def test_is_gh_code_closure_failure(p):
+    # the 2p words (a, b), b < 2, hold zero, but (0, 1) + 1 = (1, 2) is not one
+    words = np.array([[a, b] for b in (0, 1) for a in range(p)], dtype=np.uint8)
+    result = is_gh_code(PAryCode(p, 2, words))
+    assert not result and "all-one" in result.failure
+
+
 def test_is_gh_code_length4_hadamard():
     words = np.array(
         [
@@ -335,12 +343,42 @@ def test_character_sum_check_names_a_witness():
 def test_character_sum_check_rounds_and_guards_counts(monkeypatch):
     a = build(TypeSignature(3, 2, (1, 2)))
     exact = character_sum_check(a.rows, a.shape)
-    fftn = np.fft.fftn
-    monkeypatch.setattr(np.fft, "fftn", lambda x, *args, **kw: fftn(x, *args, **kw) + 0.1)
+    dft = analysis._group_dft
+    monkeypatch.setattr(analysis, "_group_dft", lambda x: dft(x) + 0.1)
     assert character_sum_check(a.rows, a.shape) == exact
-    monkeypatch.setattr(np.fft, "fftn", lambda x, *args, **kw: fftn(x, *args, **kw) + 0.4)
+    monkeypatch.setattr(analysis, "_group_dft", lambda x: dft(x) + 0.4)
     with pytest.raises(IntegrityError):
         character_sum_check(a.rows, a.shape)
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        (2,) * 12,
+        (8, 4, 4, 2, 2, 2),
+        (2, 64, 2),  # a chunk of exactly 128 between two others
+        (128, 2),  # 2 * 128 > 128: the 128 axis is a chunk on its own
+        (2, 128),
+        (256, 2),  # a lone axis above the chunk size
+        (9, 9, 3, 3, 3),
+        (81, 3),
+        (243,),
+        (25, 5, 5, 5),
+        (125, 5),
+        (49, 7, 7),
+        (121, 11),
+        (11, 11, 11),
+        (169,),  # 13^2 > 128: np.fft.fft
+        (13, 169, 13),
+        (1,),
+    ],
+    ids=lambda axes: "x".join(map(str, axes)),
+)
+def test_group_dft_matches_fftn(axes):
+    rng = np.random.default_rng(sum(axes))
+    size = int(np.prod(axes))
+    hist = np.bincount(rng.integers(0, size, 3 * size), minlength=size).reshape(axes)
+    np.testing.assert_allclose(analysis._group_dft(hist), np.fft.fftn(hist), rtol=0, atol=1e-9)
 
 
 def test_character_sum_check_needs_the_composition_lemma(monkeypatch):

@@ -1,9 +1,12 @@
 """Spanning additive codes, Gray images, and the order-p subcode."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghcodes.construction import TypeSignature, base_matrix, build
 from ghcodes.enumeration import (
@@ -12,10 +15,11 @@ from ghcodes.enumeration import (
     distinct_count,
     gray_image,
     order_p_subcode,
+    partial_span,
     span,
 )
 from ghcodes.errors import ResourceLimitError
-from ghcodes.ring import MixedVector, add, order_of
+from ghcodes.ring import CodeShape, MixedVector, add, order_of, row_orders
 
 
 def test_span_sizes():
@@ -85,6 +89,83 @@ def test_span_resource_cap():
 def test_algebraic_order_matches_enumeration(sig):
     a = build(sig)
     assert additive_span_order(a) == sig.code_size() == len(span(a))
+
+
+def enumerated_order(rows, shape) -> int:
+    """Group order by enumerating every coefficient combination: an
+    independent reference for the echelon."""
+    return distinct_count(partial_span(rows, shape, row_orders(rows, shape)))
+
+
+@st.composite
+def row_sets(draw):
+    """Arbitrary rows over a small shape, zero, repeated and dependent rows
+    included, each kept while there are at most 4096 coefficient
+    combinations."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    s = draw(st.integers(1, 3))
+    alphas = draw(st.lists(st.integers(0, 3), min_size=s, max_size=s).filter(any))
+    shape = CodeShape(p, s, alphas)
+    mods = shape.column_moduli()
+    rows = np.zeros((0, shape.total_width), dtype=np.int64)
+    for _ in range(draw(st.integers(1, 6))):
+        if len(rows) and draw(st.booleans()):  # a multiple of a sum of two rows
+            picks = draw(st.lists(st.sampled_from(range(len(rows))), min_size=2, max_size=2))
+            row = draw(st.integers(0, p**s)) * rows[picks].sum(axis=0) % mods
+        else:
+            row = np.array([draw(st.integers(0, int(m) - 1)) for m in mods])
+        trial = np.vstack([rows, row])
+        if np.prod(row_orders(trial, shape)) <= 4096:
+            rows = trial
+    return rows, shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sets())
+def test_additive_span_order_matches_enumeration(rows_shape):
+    rows, shape = rows_shape
+    stand_in = SimpleNamespace(rows=rows, shape=shape)
+    assert additive_span_order(stand_in) == enumerated_order(rows, shape)
+
+
+@pytest.mark.parametrize(
+    "p, s, alphas, rows",
+    [
+        # p^s = 169 and 243: uint8 words, int64 echelon
+        (13, 2, (1, 2), [[1, 13, 5], [0, 26, 13], [12, 0, 0]]),
+        (13, 2, (0, 2), [[13, 1], [26, 2], [0, 13]]),
+        (3, 5, (1, 0, 0, 0, 2), [[1, 81, 5], [0, 162, 27], [2, 9, 0]]),
+        (3, 5, (0, 0, 0, 1, 1), [[3, 9], [54, 162], [0, 0]]),
+        # the largest admissible prime, s = 1
+        (251, 1, (2,), [[1, 250], [250, 1]]),
+        (251, 1, (3,), [[1, 2, 3], [0, 0, 0]]),
+    ],
+)
+def test_additive_span_order_at_dtype_edges(p, s, alphas, rows):
+    shape = CodeShape(p, s, alphas)
+    rows = np.array(rows, dtype=np.int64)
+    stand_in = SimpleNamespace(rows=rows, shape=shape)
+    assert additive_span_order(stand_in) == enumerated_order(rows, shape)
+
+
+class _Unreadable:
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("rows read before the overflow guard")
+
+
+def test_additive_span_order_refuses_int64_overflow():
+    # (251^4 - 1)^2 > 2^63: the broadcast products would wrap
+    shape = CodeShape(251, 4, (0, 0, 0, 1))
+    with pytest.raises(ResourceLimitError):
+        additive_span_order(SimpleNamespace(rows=_Unreadable(), shape=shape))
+    # 3^19 is the largest power of 3 whose square fits, 3^20 the first not
+    top = (0,) * 18 + (1,)
+    ok = SimpleNamespace(rows=np.ones((1, 1), np.int64), shape=CodeShape(3, 19, top))
+    assert additive_span_order(ok) == 3**19
+    with pytest.raises(ResourceLimitError):
+        additive_span_order(
+            SimpleNamespace(rows=_Unreadable(), shape=CodeShape(3, 20, top + (0,)))
+        )
 
 
 def test_gray_image_sizes_and_length():
